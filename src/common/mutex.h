@@ -61,8 +61,8 @@ enum class LockRank : int {
   /// for queue pushes/pops and the batch-slot bookkeeping; batch execution
   /// and completion callbacks run strictly after it is released. Ranked
   /// below kPoolQueue so dispatch may hand work to the pool while holding
-  /// it, and above the shard ranks because Submit can be called from scan
-  /// callbacks that hold a store or index shard lock.
+  /// it, and above the shard ranks because Submit can be called from
+  /// listener callbacks that hold a store or index shard lock.
   kFrontDoorQueue = 45,
   /// ThreadPool's task-queue lock. Nothing is ever acquired under it.
   kPoolQueue = 50,

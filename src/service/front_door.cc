@@ -49,7 +49,6 @@ FrontDoor::FrontDoor(const SketchStore* store, ThreadPool* pool,
     options_.max_concurrent_batches =
         pool_ != nullptr ? pool_->num_threads() : 1;
   }
-  engine_.set_read_mode(ReadMode::kSnapshot);
   auto& registry = metrics::MetricsRegistry::Global();
   submitted_ = &registry.GetCounter("ipsketch_frontdoor_submitted_total",
                                     "Requests submitted to the front door");

@@ -15,13 +15,13 @@
 //      waiting for;
 //   3. drains the queue in batches and runs each batch through
 //      QueryEngine::TopKSketchBatch, which traverses the catalog once per
-//      *batch* — shards are pinned/locked once for all queries, raw query
+//      *batch* — shard views are pinned once for all queries, raw query
 //      vectors are sketched with one shared Sketcher, and with a banded
-//      index attached the SlabCatalog 1-vs-many kernels
-//      (EstimateMany/EstimateAll) run over contiguous lanes;
-//   4. reads the store exclusively through the epoch-snapshot path
-//      (ReadMode::kSnapshot): zero shard-mutex acquisitions, so query
-//      traffic never contends with ingest.
+//      index attached the SlabCatalog re-rank kernel (EstimateMany) runs
+//      over contiguous lanes;
+//   4. reads the store only through pinned epoch views, like every store
+//      read: zero shard-mutex acquisitions, so query traffic never
+//      contends with ingest.
 //
 // Locking (common/mutex.h): the admission queue is guarded by a
 // kFrontDoorQueue Mutex held only for push/pop and dispatch bookkeeping.
@@ -195,7 +195,7 @@ class FrontDoor {
   const SketchStore* store_;
   ThreadPool* pool_;
   FrontDoorOptions options_;
-  /// Snapshot-mode engine; serial inside a batch (parallelism comes from
+  /// Engine over pinned views; serial inside a batch (parallelism comes from
   /// concurrent batches, each on its own pool worker).
   QueryEngine engine_;
 

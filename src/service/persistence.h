@@ -23,10 +23,9 @@
 // nor a flipped payload byte ever yields a silently wrong store.
 //
 // Locking contract (see common/mutex.h): persistence holds no locks of its
-// own. Save reads through SketchStore::ShardSnapshot — each shard copied
-// under its kStoreShard Mutex, nothing held across shards or during file
-// I/O — and Load builds a private store no other thread can see yet, so
-// these functions never appear in any lock-order chain.
+// own. Save serializes straight from pinned shard views (no shard Mutex,
+// no sketch copies) and Load builds a private store no other thread can
+// see yet, so these functions never appear in any lock-order chain.
 
 #ifndef IPSKETCH_SERVICE_PERSISTENCE_H_
 #define IPSKETCH_SERVICE_PERSISTENCE_H_
@@ -41,7 +40,7 @@ namespace ipsketch {
 
 /// Encodes the whole store (family + options + every sketch) to bytes. The
 /// encoding of a given store state is deterministic: entries are written in
-/// (shard, id) order from per-shard snapshots.
+/// (shard, id) order from pinned shard views.
 std::string EncodeSketchStore(const SketchStore& store);
 
 /// Decodes a store previously produced by EncodeSketchStore (version 2) or

@@ -58,40 +58,20 @@ Result<double> QueryEngine::EstimateInnerProduct(uint64_t id_a,
                                                  uint64_t id_b) const {
   metrics::ScopedLatency latency(estimate_pair_ns_);
   queries_->Add(1);
-  if (read_mode_ == ReadMode::kSnapshot) {
-    // Pinned views instead of Lookup: no shard mutex, no sketch clones.
-    const ShardViewPtr va = store_->PinShard(store_->ShardOf(id_a));
-    const AnySketch* a = va->Find(id_a);
-    if (a == nullptr) {
-      return Status::NotFound("no sketch stored under id " +
-                              std::to_string(id_a));
-    }
-    const ShardViewPtr vb = store_->PinShard(store_->ShardOf(id_b));
-    const AnySketch* b = vb->Find(id_b);
-    if (b == nullptr) {
-      return Status::NotFound("no sketch stored under id " +
-                              std::to_string(id_b));
-    }
-    return va->family->Estimate(*a, *b);
+  // Pinned views instead of Lookup: no shard mutex, no sketch clones.
+  const ShardViewPtr va = store_->PinShard(store_->ShardOf(id_a));
+  const AnySketch* a = va->Find(id_a);
+  if (a == nullptr) {
+    return Status::NotFound("no sketch stored under id " +
+                            std::to_string(id_a));
   }
-  auto a = store_->Lookup(id_a);
-  IPS_RETURN_IF_ERROR(a.status());
-  auto b = store_->Lookup(id_b);
-  IPS_RETURN_IF_ERROR(b.status());
-  return store_->family().Estimate(*a.value(), *b.value());
-}
-
-bool QueryEngine::ScanStoreShard(
-    size_t shard,
-    const std::function<bool(uint64_t, const AnySketch&)>& fn) const {
-  if (read_mode_ == ReadMode::kSnapshot) {
-    const ShardViewPtr view = store_->PinShard(shard);
-    for (size_t i = 0; i < view->ids.size(); ++i) {
-      if (!fn(view->ids[i], *view->sketches[i])) return false;
-    }
-    return true;
+  const ShardViewPtr vb = store_->PinShard(store_->ShardOf(id_b));
+  const AnySketch* b = vb->Find(id_b);
+  if (b == nullptr) {
+    return Status::NotFound("no sketch stored under id " +
+                            std::to_string(id_b));
   }
-  return store_->ForEachInShard(shard, fn);
+  return va->family->Estimate(*a, *b);
 }
 
 Result<std::unique_ptr<AnySketch>> QueryEngine::SketchQuery(
@@ -125,27 +105,23 @@ Result<std::vector<QueryHit>> QueryEngine::EstimateAgainstQuery(
   const SketchFamily& family = store_->family();
 
   std::vector<std::vector<QueryHit>> per_shard(store_->num_shards());
-  // kLeaf: acquired while a store shard lock (kStoreShard) is held inside
-  // the scan callback; nothing nests under it.
+  // kLeaf: taken by scan workers, which hold no other lock.
   Mutex error_mu;
   Status first_error;
   {
     metrics::ScopedSpan span(trace, "shard-scan");
     ForEachShard([&](size_t s) {
-      // In kLockedScan mode estimation runs under the shard lock: copying
-      // whole shards out per query would cost far more than briefly
-      // blocking that shard's writers — the estimator is O(m) per entry
-      // and read-only. kSnapshot trades that contention for a pinned view.
-      ScanStoreShard(s, [&](uint64_t id, const AnySketch& sketch) {
-        auto est = family.Estimate(qs, sketch);
+      const ShardViewPtr view = store_->PinShard(s);
+      per_shard[s].reserve(view->ids.size());
+      for (size_t i = 0; i < view->ids.size(); ++i) {
+        auto est = family.Estimate(qs, *view->sketches[i]);
         if (!est.ok()) {
           MutexLock lock(&error_mu);
           if (first_error.ok()) first_error = est.status();
-          return false;
+          return;
         }
-        per_shard[s].push_back({id, est.value()});
-        return true;
-      });
+        per_shard[s].push_back({view->ids[i], est.value()});
+      }
     });
   }
   IPS_RETURN_IF_ERROR(first_error);
@@ -172,114 +148,19 @@ Result<std::vector<QueryHit>> QueryEngine::TopK(
 
 Result<std::vector<QueryHit>> QueryEngine::TopKSketch(
     const AnySketch& query, size_t k, metrics::QueryTrace* trace) const {
-  return TopKSketchWithPolicy(query, k, policy_, trace);
-}
-
-Result<std::vector<QueryHit>> QueryEngine::TopKSketchWithPolicy(
-    const AnySketch& query, size_t k, IndexPolicy policy,
-    metrics::QueryTrace* trace) const {
-  metrics::ScopedLatency latency(topk_ns_);
-  queries_->Add(1);
-  const SketchFamily& family = store_->family();
-  {
-    Status compatible = family.CheckCompatible(query);
-    if (!compatible.ok()) {
-      return Status::InvalidArgument(
-          "query sketch does not match the store's family: " +
-          compatible.message());
-    }
-  }
-
-  if (policy != IndexPolicy::kExactScan && index_ == nullptr) {
-    fallbacks_->Add(1);
-    policy = IndexPolicy::kExactScan;
-  }
-
-  // One private heap per shard; each shard is visited by exactly one worker,
-  // so the heaps (and per-shard tallies) are written lock-free and merged
-  // once all shards finish. BetterHit's deterministic tie-break makes the
-  // merged result independent of thread count and shard order.
-  const size_t n = store_->num_shards();
-  std::vector<TopKHeap> heaps;
-  heaps.reserve(n);
-  for (size_t s = 0; s < n; ++s) heaps.emplace_back(k);
-  std::vector<size_t> scanned(n, 0);
-  // kLeaf: record_error runs inside shard-scan callbacks with a store or
-  // index shard lock held; nothing nests under it.
-  Mutex error_mu;
-  Status first_error;
-  auto record_error = [&](const Status& st) {
-    MutexLock lock(&error_mu);
-    if (first_error.ok()) first_error = st;
-  };
-
-  switch (policy) {
-    case IndexPolicy::kExactScan: {
-      metrics::ScopedSpan span(trace, "shard-scan");
-      ForEachShard([&](size_t s) {
-        ScanStoreShard(s, [&](uint64_t id, const AnySketch& sketch) {
-          auto est = family.Estimate(query, sketch);
-          if (!est.ok()) {
-            record_error(est.status());
-            return false;
-          }
-          heaps[s].Offer(static_cast<size_t>(id), est.value());
-          ++scanned[s];
-          return true;
-        });
-      });
-      break;
-    }
-    case IndexPolicy::kSlabScan: {
-      metrics::ScopedSpan span(trace, "shard-scan");
-      ForEachShard([&](size_t s) {
-        Status st = index_->ScanShard(query, s, &heaps[s], &scanned[s]);
-        if (!st.ok()) record_error(st);
-      });
-      break;
-    }
-    case IndexPolicy::kBandedRerank: {
-      std::vector<uint64_t> band_keys;
-      {
-        metrics::ScopedSpan span(trace, "band-query");
-        IPS_RETURN_IF_ERROR(index_->QueryBandKeys(query, &band_keys));
-      }
-      metrics::ScopedSpan span(trace, "index-probe");
-      metrics::ScopedLatency rerank_latency(rerank_ns_);
-      std::vector<IndexProbeStats> stats(n);
-      ForEachShard([&](size_t s) {
-        Status st =
-            index_->ProbeShard(query, band_keys, s, &heaps[s], &stats[s]);
-        if (!st.ok()) record_error(st);
-      });
-      for (size_t s = 0; s < n; ++s) {
-        scanned[s] = static_cast<size_t>(stats[s].candidates);
-      }
-      break;
-    }
-  }
-  IPS_RETURN_IF_ERROR(first_error);
-
-  metrics::ScopedSpan merge_span(trace, "heap-merge");
-  TopKHeap merged(k);
-  for (const TopKHeap& heap : heaps) merged.Merge(heap);
-  std::vector<QueryHit> hits;
-  for (const SimilarityHit& hit : merged.TakeSorted()) {
-    hits.push_back({static_cast<uint64_t>(hit.index), hit.estimate});
-  }
-  // For the banded path "scanned" counts re-ranked candidates — the work
-  // actually done — so candidates_per_query_ exposes the banding win
-  // directly against the exact scan's corpus-sized numbers.
-  size_t total_scanned = 0;
-  for (size_t s : scanned) total_scanned += s;
-  sketches_scanned_->Add(total_scanned);
-  candidates_per_query_->Record(total_scanned);
-  return hits;
+  return std::move(RunTopK({&query}, {k}, policy_, trace).front());
 }
 
 std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
     const std::vector<const AnySketch*>& queries,
     const std::vector<size_t>& ks) const {
+  return RunTopK(queries, ks, policy_, nullptr);
+}
+
+std::vector<Result<std::vector<QueryHit>>> QueryEngine::RunTopK(
+    const std::vector<const AnySketch*>& queries,
+    const std::vector<size_t>& ks, IndexPolicy policy,
+    metrics::QueryTrace* trace) const {
   IPS_CHECK(queries.size() == ks.size());
   metrics::ScopedLatency latency(topk_ns_);
   const size_t q_count = queries.size();
@@ -306,12 +187,15 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
     ++live_count;
   }
 
-  IndexPolicy policy = policy_;
   if (policy != IndexPolicy::kExactScan && index_ == nullptr) {
     fallbacks_->Add(live_count);
     policy = IndexPolicy::kExactScan;
   }
 
+  // One private heap per (query, shard); each shard is visited by exactly
+  // one worker, so the heaps (and per-shard tallies) are written lock-free
+  // and merged once all shards finish. BetterHit's deterministic tie-break
+  // makes the merged result independent of thread count and shard order.
   const size_t n = store_->num_shards();
   std::vector<std::vector<TopKHeap>> heaps(q_count);
   for (size_t q = 0; q < q_count; ++q) {
@@ -319,12 +203,12 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
     heaps[q].reserve(n);
     for (size_t s = 0; s < n; ++s) heaps[q].emplace_back(ks[q]);
   }
-  // Shared by exact/slab (every live query scans the same entries);
+  // Shared by the exact scan (every live query scans the same entries);
   // per-query candidate counts for the banded path come from probe stats.
   std::vector<size_t> entries_per_shard(n, 0);
   std::vector<std::vector<IndexProbeStats>> probe_stats;
-  // kLeaf: record_error runs inside scan callbacks with a store or index
-  // shard lock held; nothing nests under it.
+  // kLeaf: record_error runs in scan workers after any index shard lock is
+  // released; nothing nests under it.
   Mutex error_mu;
   std::vector<Status> errors(q_count);
   auto record_error = [&](size_t q, const Status& st) {
@@ -332,49 +216,28 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
     if (errors[q].ok()) errors[q] = st;
   };
 
-  switch (policy) {
-    case IndexPolicy::kExactScan: {
-      ForEachShard([&](size_t s) {
-        ScanStoreShard(s, [&](uint64_t id, const AnySketch& sketch) {
-          ++entries_per_shard[s];
-          for (size_t q = 0; q < q_count; ++q) {
-            if (!live[q]) continue;
-            auto est = family.Estimate(*queries[q], sketch);
-            if (!est.ok()) {
-              record_error(q, est.status());
-              continue;
-            }
-            heaps[q][s].Offer(static_cast<size_t>(id), est.value());
-          }
-          return true;
-        });
-      });
-      break;
-    }
-    case IndexPolicy::kSlabScan: {
-      ForEachShard([&](size_t s) {
-        std::vector<const AnySketch*> shard_queries;
-        std::vector<TopKHeap*> shard_heaps;
-        shard_queries.reserve(live_count);
-        shard_heaps.reserve(live_count);
+  if (policy == IndexPolicy::kExactScan) {
+    metrics::ScopedSpan span(trace, "shard-scan");
+    ForEachShard([&](size_t s) {
+      const ShardViewPtr view = store_->PinShard(s);
+      entries_per_shard[s] = view->ids.size();
+      for (size_t i = 0; i < view->ids.size(); ++i) {
         for (size_t q = 0; q < q_count; ++q) {
           if (!live[q]) continue;
-          shard_queries.push_back(queries[q]);
-          shard_heaps.push_back(&heaps[q][s]);
-        }
-        Status st = index_->ScanShardBatch(shard_queries, s, shard_heaps,
-                                           &entries_per_shard[s]);
-        if (!st.ok()) {
-          for (size_t q = 0; q < q_count; ++q) {
-            if (live[q]) record_error(q, st);
+          auto est = family.Estimate(*queries[q], *view->sketches[i]);
+          if (!est.ok()) {
+            record_error(q, est.status());
+            continue;
           }
+          heaps[q][s].Offer(static_cast<size_t>(view->ids[i]), est.value());
         }
-      });
-      break;
-    }
-    case IndexPolicy::kBandedRerank: {
-      // Band keys once per query, shared across every shard probe.
-      std::vector<std::vector<uint64_t>> keys(q_count);
+      }
+    });
+  } else {
+    // Band keys once per query, shared across every shard probe.
+    std::vector<std::vector<uint64_t>> keys(q_count);
+    {
+      metrics::ScopedSpan span(trace, "band-query");
       for (size_t q = 0; q < q_count; ++q) {
         if (!live[q]) continue;
         Status st = index_->QueryBandKeys(*queries[q], &keys[q]);
@@ -384,20 +247,21 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
           --live_count;
         }
       }
-      probe_stats.assign(q_count, std::vector<IndexProbeStats>(n));
-      metrics::ScopedLatency rerank_latency(rerank_ns_);
-      ForEachShard([&](size_t s) {
-        for (size_t q = 0; q < q_count; ++q) {
-          if (!live[q]) continue;
-          Status st = index_->ProbeShard(*queries[q], keys[q], s,
-                                         &heaps[q][s], &probe_stats[q][s]);
-          if (!st.ok()) record_error(q, st);
-        }
-      });
-      break;
     }
+    metrics::ScopedSpan span(trace, "index-probe");
+    probe_stats.assign(q_count, std::vector<IndexProbeStats>(n));
+    metrics::ScopedLatency rerank_latency(rerank_ns_);
+    ForEachShard([&](size_t s) {
+      for (size_t q = 0; q < q_count; ++q) {
+        if (!live[q]) continue;
+        Status st = index_->ProbeShard(*queries[q], keys[q], s,
+                                       &heaps[q][s], &probe_stats[q][s]);
+        if (!st.ok()) record_error(q, st);
+      }
+    });
   }
 
+  metrics::ScopedSpan merge_span(trace, "heap-merge");
   size_t total_entries = 0;
   for (size_t c : entries_per_shard) total_entries += c;
   size_t total_estimated = 0;
@@ -416,6 +280,9 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
     for (const SimilarityHit& hit : merged.TakeSorted()) {
       hits.push_back({static_cast<uint64_t>(hit.index), hit.estimate});
     }
+    // For the banded path "candidates" counts re-ranked candidates — the
+    // work actually done — so candidates_per_query_ exposes the banding
+    // win directly against the exact scan's corpus-sized numbers.
     size_t candidates = total_entries;
     if (policy == IndexPolicy::kBandedRerank) {
       candidates = 0;
@@ -439,24 +306,24 @@ Result<double> QueryEngine::ProbeRecall(const SparseVector& query,
   }
   auto sketched = SketchQuery(query);
   IPS_RETURN_IF_ERROR(sketched.status());
-  auto exact = TopKSketchWithPolicy(*sketched.value(), k,
-                                    IndexPolicy::kExactScan, nullptr);
-  IPS_RETURN_IF_ERROR(exact.status());
-  auto banded = TopKSketchWithPolicy(*sketched.value(), k,
-                                     IndexPolicy::kBandedRerank, nullptr);
-  IPS_RETURN_IF_ERROR(banded.status());
-  if (exact.value().empty()) return 1.0;
+  const AnySketch* q = sketched.value().get();
+  auto exact = RunTopK({q}, {k}, IndexPolicy::kExactScan, nullptr);
+  IPS_RETURN_IF_ERROR(exact[0].status());
+  auto banded = RunTopK({q}, {k}, IndexPolicy::kBandedRerank, nullptr);
+  IPS_RETURN_IF_ERROR(banded[0].status());
+  const std::vector<QueryHit>& exact_hits = exact[0].value();
+  if (exact_hits.empty()) return 1.0;
   std::unordered_set<uint64_t> exact_ids;
-  exact_ids.reserve(exact.value().size());
-  for (const QueryHit& hit : exact.value()) exact_ids.insert(hit.id);
+  exact_ids.reserve(exact_hits.size());
+  for (const QueryHit& hit : exact_hits) exact_ids.insert(hit.id);
   size_t overlap = 0;
-  for (const QueryHit& hit : banded.value()) {
+  for (const QueryHit& hit : banded[0].value()) {
     overlap += exact_ids.count(hit.id);
   }
-  recall_probe_expected_->Add(exact.value().size());
+  recall_probe_expected_->Add(exact_hits.size());
   recall_probe_hits_->Add(overlap);
   return static_cast<double>(overlap) /
-         static_cast<double>(exact.value().size());
+         static_cast<double>(exact_hits.size());
 }
 
 }  // namespace ipsketch

@@ -3,19 +3,20 @@
 // sketches, whatever the family is; the engine never touches raw vectors
 // except to sketch an incoming query exactly once.
 //
-// Parallelism: scans decompose by shard. Each worker thread walks whole
-// shards in place under the shard lock (SketchStore::ForEachInShard — no
+// Parallelism: scans decompose by shard. Each worker thread pins whole
+// shard views (SketchStore::PinShard — one atomic load, no shard mutex, no
 // copies), feeding a private TopKHeap (core/similarity_search.h), and the
-// per-thread heaps are merged at the end; BetterHit's deterministic
+// per-shard heaps are merged at the end; BetterHit's deterministic
 // tie-break makes the merged result identical to a serial scan regardless
 // of thread count or shard order.
 //
 // Locking contract (see common/mutex.h): the engine itself is stateless —
-// it owns no mutex. Scan workers acquire exactly one store or index shard
-// Mutex (kStoreShard / kIndexShard) at a time inside the scan callback,
-// plus a short-lived kLeaf error-slot Mutex local to each query; both
-// orders are strictly rank-increasing, so engine queries can never take
-// part in a lock-order cycle with ingest or index maintenance.
+// it owns no mutex and never takes a store shard mutex. Banded probes take
+// one index shard Mutex (kIndexShard) at a time, plus a short-lived kLeaf
+// error-slot Mutex local to each query; that order is strictly
+// rank-increasing, so engine queries can never take part in a lock-order
+// cycle with ingest or index maintenance — and every exact read may run
+// even under a store shard lock (e.g. inside a listener callback).
 
 #ifndef IPSKETCH_SERVICE_QUERY_ENGINE_H_
 #define IPSKETCH_SERVICE_QUERY_ENGINE_H_
@@ -43,30 +44,15 @@ struct QueryHit {
   double estimate = 0.0;  ///< estimated ⟨query, stored vector⟩
 };
 
-/// How scans read the store's shards.
-enum class ReadMode {
-  /// Scan shard maps in place under each shard's mutex (ForEachInShard) —
-  /// the historical behavior. Readers briefly block writers to the shard
-  /// they are scanning.
-  kLockedScan,
-  /// Pin each shard's published epoch view (SketchStore::PinShard) — one
-  /// atomic load per shard, zero shard-mutex acquisitions, so heavy read
-  /// traffic never contends with ingest. A query sees, per shard, the
-  /// newest epoch published before its scan reached that shard. This is
-  /// what the FrontDoor uses.
-  kSnapshot,
-};
+/// Kept only for perfbench/driver.cc; removed with its next change.
+enum class ReadMode { kSnapshot };
 
 /// How TopK/TopKSketch traverse the catalog.
 enum class IndexPolicy {
-  /// Scan every stored sketch in place through the store's shard maps —
-  /// exact, index-free, the pre-index behavior.
+  /// Estimate every stored sketch through the pinned shard views — exact,
+  /// index-free. A query sees, per shard, the newest epoch published
+  /// before its scan reached that shard.
   kExactScan,
-  /// Scan every resident sketch through the banded index's slab arenas —
-  /// same exact results as kExactScan (bit-identical estimates, same
-  /// tie-break), but 1-query-vs-many over contiguous lanes. Requires an
-  /// index; falls back to kExactScan without one.
-  kSlabScan,
   /// LSH-banded candidate generation + slab re-rank — sublinear, recall
   /// governed by the index's (b, r). Requires an index; falls back to
   /// kExactScan without one.
@@ -75,8 +61,8 @@ enum class IndexPolicy {
 
 /// Read-side engine over one store. Holds no mutable state of its own, so a
 /// single engine may serve concurrent queries from many threads; the store
-/// may be ingesting concurrently (each shard scan holds that shard's lock,
-/// so it sees a consistent per-shard state and briefly delays writers).
+/// may be ingesting concurrently (each shard scan pins one immutable view,
+/// so it sees a consistent per-shard state and never delays writers).
 class QueryEngine {
  public:
   /// Queries run against `store`, fanning across `pool` (nullptr = serial).
@@ -93,13 +79,8 @@ class QueryEngine {
               const BandedIndex* index,
               IndexPolicy policy = IndexPolicy::kBandedRerank);
 
-  /// Selects how store scans read shards (default kLockedScan). kSnapshot
-  /// affects the exact-scan and pairwise paths; the index paths already
-  /// take only index-shard locks (the mirror is kept snapshot-coherent
-  /// synchronously under the mutated shard's store lock). Set before
-  /// sharing the engine across threads.
-  void set_read_mode(ReadMode mode) { read_mode_ = mode; }
-  ReadMode read_mode() const { return read_mode_; }
+  /// No-op kept only for perfbench/driver.cc; removed with its next change.
+  void set_read_mode(ReadMode /*mode*/) {}
 
   /// Estimates ⟨a, b⟩ between two stored vectors. NotFound if either id is
   /// absent.
@@ -129,15 +110,14 @@ class QueryEngine {
                                                nullptr) const;
 
   /// Runs `queries.size()` top-k queries in ONE traversal of the catalog —
-  /// the batch entry point the FrontDoor's admission queue feeds. Shards
-  /// are visited once per *batch* instead of once per query: the exact
-  /// path pins each shard view (or takes each shard lock) once for all
-  /// queries, the slab path holds each index-shard lock once and runs the
-  /// SlabCatalog 1-vs-many kernels per query over contiguous lanes
-  /// (BandedIndex::ScanShardBatch), and the banded path computes each
-  /// query's band keys once up front. `ks[i]` is query i's k. Results are
-  /// per query, in input order; a query whose sketch is incompatible (or
-  /// whose estimates fail) gets an error slot without failing the batch.
+  /// the batch entry point the FrontDoor's admission queue feeds, and the
+  /// body every top-k call runs (the single-query forms are batches of
+  /// one). Shards are visited once per *batch* instead of once per query:
+  /// the exact path pins each shard view once for all queries, and the
+  /// banded path computes each query's band keys once up front. `ks[i]` is
+  /// query i's k. Results are per query, in input order; a query whose
+  /// sketch is incompatible (or whose estimates fail) gets an error slot
+  /// without failing the batch.
   std::vector<Result<std::vector<QueryHit>>> TopKSketchBatch(
       const std::vector<const AnySketch*>& queries,
       const std::vector<size_t>& ks) const;
@@ -155,27 +135,20 @@ class QueryEngine {
   Result<std::unique_ptr<AnySketch>> SketchQuery(
       const SparseVector& query) const;
 
-  /// Scans one store shard per read_mode_: in place under the shard lock
-  /// (kLockedScan) or over the pinned epoch view (kSnapshot — no lock).
-  /// Same early-stop contract as SketchStore::ForEachInShard.
-  bool ScanStoreShard(
-      size_t shard,
-      const std::function<bool(uint64_t, const AnySketch&)>& fn) const;
-
   /// Runs fn(shard_index) over all shards, on the pool when available.
   void ForEachShard(const std::function<void(size_t)>& fn) const;
 
-  /// TopKSketch under an explicit policy — the shared body of TopKSketch
-  /// (which passes policy_) and ProbeRecall (which runs both paths).
-  Result<std::vector<QueryHit>> TopKSketchWithPolicy(
-      const AnySketch& query, size_t k, IndexPolicy policy,
+  /// TopKSketchBatch under an explicit policy, recording stage spans into
+  /// `trace` (may be null) — the one top-k body.
+  std::vector<Result<std::vector<QueryHit>>> RunTopK(
+      const std::vector<const AnySketch*>& queries,
+      const std::vector<size_t>& ks, IndexPolicy policy,
       metrics::QueryTrace* trace) const;
 
   const SketchStore* store_;
   ThreadPool* pool_;
   const BandedIndex* index_ = nullptr;
   IndexPolicy policy_ = IndexPolicy::kExactScan;
-  ReadMode read_mode_ = ReadMode::kLockedScan;
 
   // Process-wide query metrics (all QueryEngine instances aggregate).
   // Registry-owned; valid forever.

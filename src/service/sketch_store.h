@@ -9,15 +9,16 @@
 // a CountSketch catalog and a Weighted MinHash catalog run through exactly
 // the same code.
 //
-// Concurrency model: N shards (hash-on-id), one mutex per shard. Writers to
-// different shards never contend; readers either copy sketches out under
-// the shard lock (Lookup, Snapshot), scan in place while holding it
-// (ForEachInShard), or — the heavy-read path — pin an immutable epoch view
-// published by writers and never take the shard mutex at all (PinShard;
-// see ShardView and docs/ARCHITECTURE.md's snapshot-epoch protocol). Batch
+// Concurrency model: N shards (hash-on-id). Each shard's contents exist
+// only as its published, immutable ShardView: writers serialize on the
+// shard mutex and publish a copy-on-write successor view, and every read
+// (Contains, Lookup, size, Ids, Snapshot, query scans) pins the current
+// view with one atomic load and never takes the shard mutex (PinShard; see
+// docs/ARCHITECTURE.md's snapshot-epoch protocol). Writers to different
+// shards never contend, and readers never contend with anyone. Batch
 // ingest sketches *outside* any lock (sketching is the expensive part)
 // with one family Sketcher per worker thread, then takes each shard lock
-// only for the map insert and the copy-on-write view publication.
+// only for the view publication.
 //
 // Every sketch in a store shares the family's resolved options — the
 // estimator's compatibility requirement — enforced at construction and on
@@ -29,11 +30,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -69,12 +68,12 @@ struct StoreEntry {
   std::unique_ptr<AnySketch> sketch;
 };
 
-/// An immutable point-in-time view of one shard — the epoch-snapshot read
-/// path. Writers copy-on-write: every mutation builds the successor view
-/// under the shard lock and publishes it with one atomic shared_ptr swap,
-/// so readers pin an epoch with a single atomic load and never touch the
-/// shard mutex (RCU-style; a pinned view keeps its sketches alive however
-/// many epochs the shard advances past it).
+/// An immutable point-in-time view of one shard — the store's only
+/// representation of its contents. Writers copy-on-write: every mutation
+/// builds the successor view under the shard lock and publishes it with
+/// one atomic shared_ptr swap, so readers pin an epoch with a single atomic
+/// load and never touch the shard mutex (RCU-style; a pinned view keeps its
+/// sketches alive however many epochs the shard advances past it).
 ///
 /// `family` is the store's family at publication time, so a pinned view
 /// stays internally consistent — sketches and the estimator that understands
@@ -101,7 +100,8 @@ class SketchStore {
   /// callbacks run *under the shard lock* of the mutated id's shard, so a
   /// listener observing one shard's stream sees its mutations in order and
   /// can mirror the shard consistently. Callbacks must be fast and must
-  /// never call back into the store (the lock is held — deadlock).
+  /// never mutate the store (the lock is held — deadlock); reads take no
+  /// shard lock and are safe. OnInsert already sees the new entry.
   class Listener {
    public:
     virtual ~Listener() = default;
@@ -182,22 +182,6 @@ class SketchStore {
   /// Detaches `listener`. InvalidArgument if it is not the attached one.
   Status DetachListener(Listener* listener);
 
-  /// Copies out one shard's contents, sorted by id. Each shard snapshot is
-  /// internally consistent (taken under the shard lock); a full-store
-  /// iteration built from per-shard snapshots is *not* a point-in-time view
-  /// across shards — concurrent writers may land between shard copies.
-  std::vector<StoreEntry> ShardSnapshot(size_t shard) const;
-
-  /// Invokes fn(id, sketch) for every entry of one shard, *under that
-  /// shard's lock*, in unspecified order; returns false iff `fn` ever did
-  /// (which stops the scan early). The allocation-free scan path used by
-  /// query scans: nothing is copied, at the price that writers to this
-  /// shard block until the scan finishes — keep `fn` read-only and cheap,
-  /// and never touch the store from inside it (the lock is held).
-  bool ForEachInShard(
-      size_t shard,
-      const std::function<bool(uint64_t, const AnySketch&)>& fn) const;
-
   /// Pins the currently published view of one shard: one atomic load, no
   /// shard-mutex acquisition, never null. The view is immutable and sorted
   /// by id; holding the pointer keeps its epoch's sketches alive while
@@ -206,11 +190,11 @@ class SketchStore {
   ShardViewPtr PinShard(size_t shard) const;
 
   /// Pins every shard's current view. Each view is internally consistent;
-  /// the cross-shard caveat of Snapshot() applies (views may be pinned at
-  /// different epochs relative to concurrent writers).
+  /// the set is *not* a point-in-time image across shards — concurrent
+  /// writers may publish between two shards' pins.
   std::vector<ShardViewPtr> PinStore() const;
 
-  /// All (id, sketch) pairs, sorted by id: the per-shard snapshots merged.
+  /// All (id, sketch) pairs, sorted by id: clones of PinStore()'s entries.
   std::vector<StoreEntry> Snapshot() const;
 
   /// All ids, sorted.
@@ -248,11 +232,8 @@ class SketchStore {
 
  private:
   struct Shard {
+    /// Serializes writers (and listener attach); readers never take it.
     mutable Mutex mu{LockRank::kStoreShard};
-    /// Values are shared so the published views can reference them without
-    /// cloning; the map itself stays the single mutable source of truth.
-    std::unordered_map<uint64_t, std::shared_ptr<const AnySketch>> map
-        IPS_GUARDED_BY(mu);
     /// Mirror of the store-level listener, guarded by `mu` so mutation
     /// paths need no second lock to find it.
     Listener* listener IPS_GUARDED_BY(mu) = nullptr;
@@ -270,20 +251,14 @@ class SketchStore {
 
   /// Publishes the successor view of `shard` with `id` inserted or
   /// replaced: O(shard size) pointer copies from the previous view, one
-  /// sorted-position splice, one atomic swap.
-  void PublishInsertLocked(Shard& shard, uint64_t id,
+  /// sorted-position splice, one atomic swap. Returns true iff `id` is new.
+  bool PublishInsertLocked(Shard& shard, uint64_t id,
                            const std::shared_ptr<const AnySketch>& sketch)
       IPS_REQUIRES(shard.mu);
 
-  /// Publishes the successor view of `shard` with `id` removed.
+  /// Publishes the successor view of `shard` with `id` (which must be
+  /// present) removed.
   void PublishEraseLocked(Shard& shard, uint64_t id) IPS_REQUIRES(shard.mu);
-
-  /// Rebuilds and publishes `shard`'s view from its map under `family` —
-  /// the bulk path CompactifyInPlace uses after swapping a shard's
-  /// contents wholesale.
-  void PublishRebuildLocked(Shard& shard,
-                            std::shared_ptr<const SketchFamily> family)
-      IPS_REQUIRES(shard.mu);
 
   /// Subtracts every shard's current occupancy from the gauges — the
   /// shared cleanup of the destructor and move assignment.
@@ -306,7 +281,6 @@ class SketchStore {
   metrics::Counter* inserts_ = nullptr;
   metrics::Counter* erases_ = nullptr;
   metrics::Histogram* ingest_ns_ = nullptr;
-  metrics::Histogram* scan_lock_ns_ = nullptr;
   metrics::Gauge* size_gauge_ = nullptr;
   // One gauge per shard index, named ...{shard="i"} — per-shard skew is
   // visible directly in the exposition.

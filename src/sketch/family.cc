@@ -370,17 +370,6 @@ class SoaSlab final : public SketchSlab {
     return Status::Ok();
   }
 
-  Status EstimateAll(const AnySketch& query, double* out) const override {
-    IPS_RETURN_IF_ERROR(family_->CheckCompatible(query));
-    const auto& q = *GetSketchAs<typename Traits::SketchT>(query);
-    for (size_t slot = 0; slot < norms_.size(); ++slot) {
-      auto est = EstimateSlot(q, slot);
-      IPS_RETURN_IF_ERROR(est.status());
-      out[slot] = est.value();
-    }
-    return Status::Ok();
-  }
-
  private:
   Result<double> EstimateSlot(const typename Traits::SketchT& q,
                               size_t slot) const {

@@ -1,10 +1,10 @@
 // BandedIndex + index-aware QueryEngine: listener attach/replay coherence
-// under insert/erase/replace, banded and slab-scan top-k against the exact
-// scan (slab-scan must be bit-identical; banded must find planted
-// neighbors), TopK edge cases on both paths, deterministic tie-breaks,
-// null-index fallback accounting, recall probes, and a concurrent
-// insert/erase/query stress the TSAN job runs.
+// under insert/erase/replace, banded top-k against the exact scan (banded
+// must find planted neighbors), TopK edge cases on both paths,
+// deterministic tie-breaks, null-index fallback accounting, recall probes,
+// and a concurrent insert/erase/query stress the TSAN job runs.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -158,33 +158,7 @@ TEST(BandedIndexTest, BandedSelfQueriesFindEveryStoredVector) {
   }
 }
 
-TEST(BandedIndexTest, SlabScanMatchesExactScanBitForBit) {
-  constexpr size_t kCorpus = 50;  // > num_shards, so every shard is populated
-  SketchStore store = MakeFilledStore(kCorpus);
-  auto index = BandedIndex::MakeAttached(&store, {16, 4});
-  ASSERT_TRUE(index.ok());
-  ThreadPool pool(4);
-  QueryEngine exact(&store, &pool);
-  QueryEngine slab(&store, &pool, index.value().get(), IndexPolicy::kSlabScan);
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    const SparseVector query = RandomVector(9000 + seed);
-    for (size_t k : {1u, 10u, 17u}) {
-      auto a = exact.TopK(query, k);
-      auto b = slab.TopK(query, k);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      ASSERT_EQ(a.value().size(), b.value().size());
-      for (size_t i = 0; i < a.value().size(); ++i) {
-        EXPECT_EQ(a.value()[i].id, b.value()[i].id) << "rank " << i;
-        EXPECT_EQ(std::bit_cast<uint64_t>(a.value()[i].estimate),
-                  std::bit_cast<uint64_t>(b.value()[i].estimate))
-            << "rank " << i;
-      }
-    }
-  }
-}
-
-TEST(BandedIndexTest, TopKEdgeCasesOnExactSlabAndBandedPaths) {
+TEST(BandedIndexTest, TopKEdgeCasesOnExactAndBandedPaths) {
   SketchStore empty_store = MakeFilledStore(0);
   auto empty_index = BandedIndex::MakeAttached(&empty_store, {16, 4});
   ASSERT_TRUE(empty_index.ok());
@@ -195,7 +169,6 @@ TEST(BandedIndexTest, TopKEdgeCasesOnExactSlabAndBandedPaths) {
   const SparseVector query = RandomVector(777);
 
   const IndexPolicy policies[] = {IndexPolicy::kExactScan,
-                                  IndexPolicy::kSlabScan,
                                   IndexPolicy::kBandedRerank};
   for (IndexPolicy policy : policies) {
     SCOPED_TRACE(static_cast<int>(policy));
@@ -215,7 +188,7 @@ TEST(BandedIndexTest, TopKEdgeCasesOnExactSlabAndBandedPaths) {
     ASSERT_TRUE(none.ok());
     EXPECT_TRUE(none.value().empty());
 
-    // k > corpus: at most the corpus comes back (exact/slab return all of
+    // k > corpus: at most the corpus comes back (exact returns all of
     // it; banded returns its candidates), sorted best-first with no
     // duplicate ids.
     auto all = engine.TopK(query, kCorpus + 100);
@@ -257,7 +230,6 @@ TEST(BandedIndexTest, TiedEstimatesBreakTowardSmallerIdsOnEveryPath) {
   }
   ThreadPool pool(4);
   const IndexPolicy policies[] = {IndexPolicy::kExactScan,
-                                  IndexPolicy::kSlabScan,
                                   IndexPolicy::kBandedRerank};
   for (IndexPolicy policy : policies) {
     SCOPED_TRACE(static_cast<int>(policy));
@@ -341,7 +313,7 @@ TEST(BandedIndexTest, ProbeRecallIsBoundedAndPerfectOnSelfQueries) {
 }
 
 // TSAN coverage: writers mutating the store (and, through the listener, the
-// index) while readers run banded, slab, and exact queries concurrently.
+// index) while readers run banded queries concurrently.
 TEST(BandedIndexTest, ConcurrentInsertEraseAndQueryStress) {
   SketchStore store = MakeFilledStore(32);
   auto index = BandedIndex::MakeAttached(&store, {16, 4});
@@ -349,8 +321,6 @@ TEST(BandedIndexTest, ConcurrentInsertEraseAndQueryStress) {
   ThreadPool pool(2);
   QueryEngine engine(&store, &pool, index.value().get(),
                      IndexPolicy::kBandedRerank);
-  QueryEngine slab(&store, nullptr, index.value().get(),
-                   IndexPolicy::kSlabScan);
 
   constexpr size_t kOps = 150;
   std::thread writer([&] {
@@ -371,30 +341,26 @@ TEST(BandedIndexTest, ConcurrentInsertEraseAndQueryStress) {
       ASSERT_TRUE(hits.ok());
     }
   });
-  std::thread slab_reader([&] {
-    for (size_t i = 0; i < 40; ++i) {
-      auto hits = slab.TopK(RandomVector(8500 + i), 5);
-      ASSERT_TRUE(hits.ok());
-    }
-  });
   writer.join();
   eraser.join();
   banded_reader.join();
-  slab_reader.join();
 
-  // Quiesced: the index mirrors the store exactly, and a full slab scan
-  // agrees with the exact scan bit for bit.
+  // Quiesced: the index mirrors the store exactly — same resident count,
+  // and every banded hit carries the exact scan's estimate bit for bit.
   EXPECT_EQ(index.value()->size(), store.size());
   QueryEngine exact(&store, nullptr);
-  auto a = exact.TopK(RandomVector(9999), 20);
-  auto b = slab.TopK(RandomVector(9999), 20);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a.value().size(), b.value().size());
-  for (size_t i = 0; i < a.value().size(); ++i) {
-    EXPECT_EQ(a.value()[i].id, b.value()[i].id);
-    EXPECT_EQ(std::bit_cast<uint64_t>(a.value()[i].estimate),
-              std::bit_cast<uint64_t>(b.value()[i].estimate));
+  auto all = exact.EstimateAgainstQuery(RandomVector(9999));
+  auto banded = engine.TopK(RandomVector(9999), 20);
+  ASSERT_TRUE(all.ok());
+  ASSERT_TRUE(banded.ok());
+  for (const QueryHit& hit : banded.value()) {
+    auto it = std::lower_bound(
+        all.value().begin(), all.value().end(), hit.id,
+        [](const QueryHit& h, uint64_t id) { return h.id < id; });
+    ASSERT_NE(it, all.value().end());
+    ASSERT_EQ(it->id, hit.id);
+    EXPECT_EQ(std::bit_cast<uint64_t>(it->estimate),
+              std::bit_cast<uint64_t>(hit.estimate));
   }
 }
 

@@ -234,7 +234,7 @@ TEST(FrontDoorTest, SnapshotReadsServeThroughCompactifyRefusal) {
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   ThreadPool pool(2);
   FrontDoor door(&store, &pool, {}, index.value().get(),
-                 IndexPolicy::kSlabScan);
+                 IndexPolicy::kBandedRerank);
 
   auto before = door.SubmitTopK(RandomVector(50), 5).Take();
   ASSERT_TRUE(before.ok());
@@ -255,53 +255,42 @@ TEST(FrontDoorTest, SnapshotReadsServeThroughCompactifyRefusal) {
   }
 }
 
-TEST(FrontDoorTest, SlabScanPolicyMatchesExactScan) {
+// Acceptance: the front door's read path never acquires a store shard
+// mutex. Requests submitted from inside a Listener callback — which holds
+// the mutated id's kStoreShard mutex — run inline (null pool) and complete;
+// a shard-mutex read would abort under the debug rank checker or
+// self-deadlock in release builds.
+class SubmittingListener : public SketchStore::Listener {
+ public:
+  explicit SubmittingListener(FrontDoor* door) : door_(door) {}
+
+  void OnInsert(uint64_t id, const AnySketch& /*sketch*/) override {
+    auto topk = door_->SubmitTopK(RandomVector(400 + id), 5).Take();
+    ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+    EXPECT_EQ(topk.value().size(), 5u);
+    auto est = door_->SubmitEstimate(id, id % 40).Take();
+    EXPECT_TRUE(est.ok()) << est.status().ToString();
+    ++inserts_;
+  }
+  void OnErase(uint64_t /*id*/) override {}
+
+  int inserts() const { return inserts_; }
+
+ private:
+  FrontDoor* door_;
+  int inserts_ = 0;
+};
+
+TEST(FrontDoorTest, ReadsFromUnderAStoreShardLockComplete) {
   SketchStore store = MakePopulatedStore();
-  auto index = BandedIndex::MakeAttached(&store, {/*bands=*/8, /*rows=*/2});
-  ASSERT_TRUE(index.ok());
-  ThreadPool pool(2);
-  FrontDoor door(&store, &pool, {}, index.value().get(),
-                 IndexPolicy::kSlabScan);
-  QueryEngine exact(&store);
-
-  for (int i = 0; i < 4; ++i) {
-    auto slab_hits = door.SubmitTopK(RandomVector(300 + i), 8).Take();
-    ASSERT_TRUE(slab_hits.ok());
-    auto exact_hits = exact.TopK(RandomVector(300 + i), 8);
-    ASSERT_TRUE(exact_hits.status().ok());
-    ASSERT_EQ(slab_hits.value().size(), exact_hits.value().size());
-    for (size_t j = 0; j < slab_hits.value().size(); ++j) {
-      EXPECT_EQ(slab_hits.value()[j].id, exact_hits.value()[j].id);
-      EXPECT_EQ(slab_hits.value()[j].estimate,
-                exact_hits.value()[j].estimate);
-    }
+  FrontDoor door(&store, /*pool=*/nullptr);
+  SubmittingListener listener(&door);
+  ASSERT_TRUE(store.AttachListener(&listener).ok());  // replays 40 entries
+  for (uint64_t id = 40; id < 48; ++id) {
+    ASSERT_TRUE(store.BuildAndInsert(id, RandomVector(id)).ok());
   }
-}
-
-// Acceptance: a read-only burst through the front door never acquires a
-// store shard mutex (the snapshot path is mutex-free for readers).
-TEST(FrontDoorTest, ReadBurstTakesZeroShardMutexAcquisitions) {
-  if (!metrics::kCompiledIn) {
-    GTEST_SKIP() << "metrics compiled out; no scan-lock histogram to watch";
-  }
-  metrics::SetEnabledForTesting(true);
-  SketchStore store = MakePopulatedStore();
-  ThreadPool pool(2);
-  FrontDoor door(&store, &pool);
-  auto& scan_lock = metrics::MetricsRegistry::Global().GetHistogram(
-      "ipsketch_store_scan_lock_ns",
-      "Shard-lock acquire plus hold time of in-place shard scans");
-
-  const uint64_t before = scan_lock.Count();
-  std::vector<FrontDoorFuture<std::vector<QueryHit>>> topks;
-  std::vector<FrontDoorFuture<double>> estimates;
-  for (int i = 0; i < 40; ++i) {
-    topks.push_back(door.SubmitTopK(RandomVector(400 + i), 5));
-    estimates.push_back(door.SubmitEstimate(i % 40, (i + 7) % 40));
-  }
-  for (auto& f : topks) ASSERT_TRUE(f.Take().ok());
-  for (auto& f : estimates) ASSERT_TRUE(f.Take().ok());
-  EXPECT_EQ(scan_lock.Count(), before);
+  ASSERT_TRUE(store.DetachListener(&listener).ok());
+  EXPECT_EQ(listener.inserts(), 48);
 }
 
 TEST(FrontDoorTest, CountersAccountForEveryOutcome) {

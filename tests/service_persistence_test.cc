@@ -231,13 +231,11 @@ TEST(StorePersistenceTest, ReadsLegacyV1WmhFile) {
   wire::AppendU8(&v1, 0);  // kActiveIndex
   const auto entries = store.Snapshot();
   wire::AppendU64(&v1, entries.size());
-  for (size_t s = 0; s < store.num_shards(); ++s) {
-    for (const auto& entry : store.ShardSnapshot(s)) {
-      const WmhSketch* wmh = GetSketchAs<WmhSketch>(*entry.sketch);
-      ASSERT_NE(wmh, nullptr);
-      wire::AppendU64(&v1, entry.id);
-      wire::AppendBytes(&v1, V1WmhPayload(*wmh));
-    }
+  for (const auto& entry : entries) {
+    const WmhSketch* wmh = GetSketchAs<WmhSketch>(*entry.sketch);
+    ASSERT_NE(wmh, nullptr);
+    wire::AppendU64(&v1, entry.id);
+    wire::AppendBytes(&v1, V1WmhPayload(*wmh));
   }
   wire::AppendU64(&v1, Fnv1a(v1));
 
@@ -284,13 +282,11 @@ TEST(StorePersistenceTest, ReadsLegacyV1ExpandedReferenceFile) {
   wire::AppendU8(&v1, 1);  // kExpandedReference
   const auto entries = store.Snapshot();
   wire::AppendU64(&v1, entries.size());
-  for (size_t s = 0; s < store.num_shards(); ++s) {
-    for (const auto& entry : store.ShardSnapshot(s)) {
-      const WmhSketch* wmh = GetSketchAs<WmhSketch>(*entry.sketch);
-      ASSERT_NE(wmh, nullptr);
-      wire::AppendU64(&v1, entry.id);
-      wire::AppendBytes(&v1, V1WmhPayload(*wmh));
-    }
+  for (const auto& entry : entries) {
+    const WmhSketch* wmh = GetSketchAs<WmhSketch>(*entry.sketch);
+    ASSERT_NE(wmh, nullptr);
+    wire::AppendU64(&v1, entry.id);
+    wire::AppendBytes(&v1, V1WmhPayload(*wmh));
   }
   wire::AppendU64(&v1, Fnv1a(v1));
 
@@ -334,24 +330,22 @@ TEST(StorePersistenceTest, ReadsEnginelessV2IcwsFile) {
   wire::AppendU64(&old_file, 0);  // param count: engine-less era
   const auto entries = store.Snapshot();
   wire::AppendU64(&old_file, entries.size());
-  for (size_t s = 0; s < store.num_shards(); ++s) {
-    for (const auto& entry : store.ShardSnapshot(s)) {
-      const IcwsSketch* icws = GetSketchAs<IcwsSketch>(*entry.sketch);
-      ASSERT_NE(icws, nullptr);
-      std::string blob;
-      wire::AppendU32(&blob, 0x49505348);  // "IPSH"
-      wire::AppendU8(&blob, 1);
-      wire::AppendU8(&blob, 6);  // kIcws
-      wire::AppendU64(&blob, icws->seed);
-      wire::AppendU64(&blob, icws->dimension);
-      wire::AppendDouble(&blob, icws->norm);
-      wire::AppendU64(&blob, icws->fingerprints.size());
-      for (uint64_t fp : icws->fingerprints) wire::AppendU64(&blob, fp);
-      wire::AppendU64(&blob, icws->values.size());
-      for (double v : icws->values) wire::AppendDouble(&blob, v);
-      wire::AppendU64(&old_file, entry.id);
-      wire::AppendBytes(&old_file, blob);
-    }
+  for (const auto& entry : entries) {
+    const IcwsSketch* icws = GetSketchAs<IcwsSketch>(*entry.sketch);
+    ASSERT_NE(icws, nullptr);
+    std::string blob;
+    wire::AppendU32(&blob, 0x49505348);  // "IPSH"
+    wire::AppendU8(&blob, 1);
+    wire::AppendU8(&blob, 6);  // kIcws
+    wire::AppendU64(&blob, icws->seed);
+    wire::AppendU64(&blob, icws->dimension);
+    wire::AppendDouble(&blob, icws->norm);
+    wire::AppendU64(&blob, icws->fingerprints.size());
+    for (uint64_t fp : icws->fingerprints) wire::AppendU64(&blob, fp);
+    wire::AppendU64(&blob, icws->values.size());
+    for (double v : icws->values) wire::AppendDouble(&blob, v);
+    wire::AppendU64(&old_file, entry.id);
+    wire::AppendBytes(&old_file, blob);
   }
   wire::AppendU64(&old_file, Fnv1a(old_file));
 

@@ -122,14 +122,6 @@ TEST(SlabTest, EstimatesBitIdenticalToPairwiseAcrossFamiliesAndKernels) {
             << "slot " << slot;
       }
 
-      // EstimateAll: the exact-scan path.
-      std::vector<double> all(kCorpus, 0.0);
-      ASSERT_TRUE(slab.value()->EstimateAll(query, all.data()).ok());
-      for (size_t slot = 0; slot < kCorpus; ++slot) {
-        EXPECT_EQ(std::bit_cast<uint64_t>(expected[slot]),
-                  std::bit_cast<uint64_t>(all[slot]));
-      }
-
       // EstimateMany: the re-rank path, over a shuffled subset.
       const std::vector<uint32_t> slots = {7, 0, 11, 3, 3};
       std::vector<double> many(slots.size(), 0.0);

@@ -27,10 +27,12 @@ point-wise but a static scan can prove tree-wide:
                  FamilyOptions harnesses) — a wire decoder that is not
                  fuzzed is an untrusted-input surface nobody is probing.
   docs-freshness Every ipsketch_* metric registered in src/ appears in
-                 docs/OPERATIONS.md (the operator runbook) and every
-                 SketchTypeTag enumerator appears in docs/WIRE_FORMAT.md
-                 (the normative wire spec) — the docs/ tree cannot silently
-                 rot behind the code.
+                 docs/OPERATIONS.md (the operator runbook), every backticked
+                 ipsketch_* metric name in that runbook is registered in
+                 src/, and every SketchTypeTag enumerator appears in
+                 docs/WIRE_FORMAT.md (the normative wire spec) — the docs/
+                 tree cannot silently rot behind the code, nor keep rows
+                 for metrics the code no longer exports.
 
 Exit status 0 iff the tree is clean; findings go to stdout, one per line,
 as `rule: file: message`.
@@ -280,6 +282,11 @@ def check_fuzz_coverage(root: Path):
     return findings
 
 
+# A backticked, fully prefixed metric name in the runbook (`ipsketch_` alone
+# or `ipsketch_*` are prose about the prefix, not metric names).
+DOCUMENTED_METRIC = re.compile(r"`(ipsketch_[a-z0-9]+(?:_[a-z0-9]+)*)`")
+
+
 def check_docs_freshness(root: Path):
     findings = []
     for rel in (OPERATIONS_MD, WIRE_FORMAT_MD):
@@ -294,11 +301,13 @@ def check_docs_freshness(root: Path):
     # documented fully prefixed (unlike README's inventory, which strips
     # the ipsketch_ prefix).
     ops = read(root, OPERATIONS_MD)
+    registered = set()
     reported = set()
     for path in sorted((root / "src").rglob("*.cc")):
         rel = path.relative_to(root).as_posix()
         for match in METRIC_CALL.finditer(path.read_text(encoding="utf-8")):
             base = match.group(1).split("{")[0]
+            registered.add(base)
             # Malformed names are the metrics rule's finding, not ours.
             if not METRIC_NAME.match(base) or base in reported:
                 continue
@@ -308,6 +317,14 @@ def check_docs_freshness(root: Path):
                     f"docs-freshness: {rel}: metric '{base}' is not "
                     f"documented in {OPERATIONS_MD} — operators cannot "
                     "alert on a metric they cannot look up")
+
+    # ...and in reverse: every metric the runbook names is still exported.
+    for name in sorted(set(DOCUMENTED_METRIC.findall(ops))):
+        if name not in registered:
+            findings.append(
+                f"docs-freshness: {OPERATIONS_MD}: metric '{name}' is "
+                "documented but no src/ file registers it — operators "
+                "would alert on a series that never arrives")
 
     # Every wire tag enumerator is specified in the wire-format doc.
     header = read(root, SERIALIZE_H)
@@ -408,6 +425,15 @@ def seed_docs_metric(root: Path):
     path.write_text(seeded, encoding="utf-8")
 
 
+def seed_docs_phantom_metric(root: Path):
+    # A runbook row for a metric no src/ file registers (e.g. one whose
+    # registration was deleted while its documentation lingered).
+    path = root / OPERATIONS_MD
+    with path.open("a", encoding="utf-8") as f:
+        f.write("\n| `ipsketch_phantom_documented_ns` | histogram | "
+                "seeded by lint self-test |\n")
+
+
 def seed_docs_wire_tag(root: Path):
     # A new wire tag the wire-format doc has never heard of.
     path = root / SERIALIZE_H
@@ -428,6 +454,7 @@ SEEDS = {
     "fuzz-coverage": [("emptied seed corpus", seed_fuzz_coverage)],
     "docs-freshness": [
         ("undocumented metric", seed_docs_metric),
+        ("phantom documented metric", seed_docs_phantom_metric),
         ("undocumented wire tag", seed_docs_wire_tag),
     ],
 }
