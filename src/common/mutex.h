@@ -53,10 +53,6 @@ enum class LockRank : int {
   /// under the store shard lock (the store-shard → index-shard order of
   /// the mirror protocol).
   kIndexShard = 30,
-  /// Locks private to a Listener implementation beyond its mirror shards.
-  /// None exist today; reserved so a future listener-owned lock has a
-  /// rank above the index shards it is taken under.
-  kListener = 40,
   /// FrontDoor's admission-queue lock (service/front_door.h). Held only
   /// for queue pushes/pops and the batch-slot bookkeeping; batch execution
   /// and completion callbacks run strictly after it is released. Ranked
@@ -67,8 +63,9 @@ enum class LockRank : int {
   /// ThreadPool's task-queue lock. Nothing is ever acquired under it.
   kPoolQueue = 50,
   /// Terminal rank: first-error slots, ParallelFor completion sync, the
-  /// metrics registry. Anything may be held when acquiring a leaf; nothing
-  /// may be acquired while holding one (two leaves never nest).
+  /// metrics registry, the store's per-shard view pointers. Anything may be
+  /// held when acquiring a leaf; nothing may be acquired while holding one
+  /// (two leaves never nest).
   kLeaf = 100,
 };
 

@@ -7,18 +7,20 @@
 // all r samples match, which for (weighted) Jaccard similarity J happens
 // with probability J^r per band, so a sketch becomes a candidate with
 // probability 1 − (1 − J^r)^b — the classic LSH S-curve: (b, r) is the
-// recall/cost knob. Candidates are re-ranked exactly (through the family's
-// span estimator core over the slab catalog, bit-identical to the pairwise
-// estimator), so banding only ever *misses* true hits, never mis-scores
-// them.
+// recall/cost knob. Candidates are re-ranked exactly, against the store's
+// own pinned shard view through SketchFamily::Estimate — the call the exact
+// scan makes — so banding only ever *misses* true hits, never mis-scores
+// them. The index holds no sketches: only ids and band keys.
 //
 // The index is a SketchStore::Listener: MakeAttached subscribes it to the
 // store and replays what is already resident, after which every insert,
-// replace, and erase is mirrored synchronously under the store's shard lock
+// replace, and erase is filed synchronously under the store's shard lock
 // for that id. The index's shard partition mirrors the store's
 // (SketchStore::ShardOf), and each index shard has its own mutex; the only
-// lock order is store-shard → index-shard, so queries (which take only
-// index locks) never deadlock against writers.
+// lock order is store-shard → index-shard. A probe holds its index shard
+// lock only to gather candidate ids, and pins the store view after
+// releasing it, so queries never deadlock against writers. A candidate the
+// pinned view does not hold (erased between the two steps) is skipped.
 //
 // Supported families: exactly those with FamilyInfo::supports_banding (the
 // minwise samplers wmh, icws, mh, wmh_compact, wmh_bbit). The linear
@@ -38,7 +40,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "core/similarity_search.h"
-#include "index/slab_catalog.h"
 #include "service/metrics.h"
 #include "service/sketch_store.h"
 
@@ -59,11 +60,12 @@ struct BandedLshParams {
 /// Per-query probe counters, aggregated across shards by the caller.
 struct IndexProbeStats {
   uint64_t buckets_probed = 0;  ///< non-empty buckets hit
-  uint64_t candidates = 0;      ///< deduped candidates re-ranked
+  uint64_t candidates = 0;      ///< deduped candidates re-ranked (found
+                                ///< in the pinned store view)
 };
 
-/// The banded index + slab catalog over one store. Thread-safe; see the
-/// file comment for the locking model.
+/// The banded candidate index over one store. Thread-safe; see the file
+/// comment for the locking model.
 class BandedIndex final : public SketchStore::Listener {
  public:
   /// Builds an index over `store` and attaches it as the store's mutation
@@ -95,14 +97,17 @@ class BandedIndex final : public SketchStore::Listener {
   void OnErase(uint64_t id) override;
 
   /// The query's b band keys, in band order — computed once per query and
-  /// shared across shard probes. InvalidArgument unless `query` passes the
-  /// family's CheckCompatible.
+  /// shared across shard probes (and the keys a stored sketch is filed
+  /// under). InvalidArgument unless `query` passes the family's
+  /// CheckCompatible.
   Status QueryBandKeys(const AnySketch& query,
                        std::vector<uint64_t>* keys) const;
 
   /// Probes one shard's buckets with `keys` (from QueryBandKeys), re-ranks
-  /// the deduped candidates through the slab, and offers (id, estimate)
-  /// pairs to `heap`. Holds the index shard's lock for the duration.
+  /// the deduped candidates against the store's pinned view of `shard`,
+  /// and offers (id, estimate) pairs to `heap`. Holds the index shard's
+  /// lock only while gathering candidate ids. InvalidArgument unless
+  /// `query` passes the family's CheckCompatible.
   Status ProbeShard(const AnySketch& query,
                     const std::vector<uint64_t>& keys, size_t shard,
                     TopKHeap* heap, IndexProbeStats* stats) const;
@@ -112,37 +117,23 @@ class BandedIndex final : public SketchStore::Listener {
     /// kIndexShard: acquired inside listener callbacks while the store's
     /// shard lock (kStoreShard) is held — the mirror protocol's only order.
     mutable Mutex mu{LockRank::kIndexShard};
-    /// Band keys of resident slots, slot-major: slot s's key for band j at
-    /// s·bands + j. Swap-removed in step with the slab catalog's slots.
-    std::vector<uint64_t> keys IPS_GUARDED_BY(mu);
-    /// Band key → slots filed under it (across all bands; keys are salted
+    /// Each filed id's band keys, in band order — what unfiling it on
+    /// erase or replace needs.
+    std::unordered_map<uint64_t, std::vector<uint64_t>> keys_of
+        IPS_GUARDED_BY(mu);
+    /// Band key → ids filed under it (across all bands; keys are salted
     /// per band, so cross-band collisions are as unlikely as any other).
-    std::unordered_map<uint64_t, std::vector<uint32_t>> buckets
+    std::unordered_map<uint64_t, std::vector<uint64_t>> buckets
         IPS_GUARDED_BY(mu);
   };
 
-  BandedIndex(SketchStore* store, const BandedLshParams& params,
-              SlabCatalog catalog);
+  BandedIndex(SketchStore* store, const BandedLshParams& params);
 
-  /// Appends `sketch` under `id` to `shard` (which is
-  /// shards_[shard_index]; the index is still needed for the catalog side).
-  void InsertLocked(Shard& shard, size_t shard_index, uint64_t id,
-                    const AnySketch& sketch) IPS_REQUIRES(shard.mu);
-
-  /// Removes `id` from `shard` if resident (swap-remove: bucket references
-  /// to the moved last slot are rewired). Returns false if the id was not
-  /// resident.
-  bool RemoveLocked(Shard& shard, size_t shard_index, uint64_t id)
-      IPS_REQUIRES(shard.mu);
+  /// Unfiles `id` from `shard`. Returns false if the id was not filed.
+  static bool RemoveLocked(Shard& shard, uint64_t id) IPS_REQUIRES(shard.mu);
 
   SketchStore* store_;
   BandedLshParams params_;
-  /// Partitioned exactly like shards_: slab s is only ever touched with
-  /// shards_[s]->mu held. The analysis cannot express "guarded by the
-  /// same-indexed mutex", so the discipline here rests on the REQUIRES
-  /// contracts of the *Locked helpers plus the per-shard lock in every
-  /// public read path.
-  SlabCatalog catalog_;
   std::vector<std::unique_ptr<Shard>> shards_;
   uint64_t key_seed_ = 0;
   bool attached_ = false;

@@ -17,8 +17,8 @@
 //      QueryEngine::TopKSketchBatch, which traverses the catalog once per
 //      *batch* — shard views are pinned once for all queries, raw query
 //      vectors are sketched with one shared Sketcher, and with a banded
-//      index attached the SlabCatalog re-rank kernel (EstimateMany) runs
-//      over contiguous lanes;
+//      index attached each shard's candidates are re-ranked against the
+//      same pinned views the exact scan reads;
 //   4. reads the store only through pinned epoch views, like every store
 //      read: zero shard-mutex acquisitions, so query traffic never
 //      contends with ingest.

@@ -1,6 +1,13 @@
 #include "service/persistence.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <functional>
+#include <vector>
 
 #include "service/metrics.h"
 #include "sketch/serialize.h"
@@ -57,13 +64,20 @@ constexpr uint64_t kMaxDecodedShards = 1u << 16;
 // FNV-1a over the encoded payload, stored as an 8-byte trailer. The wire
 // framing alone only catches *structural* corruption; a flipped byte inside
 // a double payload would otherwise load as a silently wrong sketch.
-uint64_t Checksum(std::string_view bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;
+// ContinueChecksum(ContinueChecksum(h, a), b) == ContinueChecksum(h, a + b),
+// so a streamed encoding checksums piece by piece.
+constexpr uint64_t kChecksumSeed = 0xcbf29ce484222325ull;
+
+uint64_t ContinueChecksum(uint64_t h, std::string_view bytes) {
   for (char c : bytes) {
     h ^= static_cast<uint8_t>(c);
     h *= 0x100000001b3ull;
   }
   return h;
+}
+
+uint64_t Checksum(std::string_view bytes) {
+  return ContinueChecksum(kChecksumSeed, bytes);
 }
 
 // Reads the v1 header into family-generic store options.
@@ -108,16 +122,27 @@ Status ReadV2Header(wire::BoundedReader* r, SketchStoreOptions* opts) {
   return Status::Ok();
 }
 
-}  // namespace
-
-std::string EncodeSketchStore(const SketchStore& store) {
+// Encodes `store` front to back, handing the bytes to `emit` in pieces of
+// about 1 MB (the last piece is the checksum trailer), so a save holds one
+// piece in memory rather than the whole file. Stops at the first error
+// `emit` returns.
+Status EncodeInPieces(const SketchStore& store,
+                      const std::function<Status(std::string_view)>& emit) {
+  constexpr size_t kPieceBytes = 1 << 20;
   const SketchStoreOptions& opts = store.options();
-  std::string out;
-  wire::AppendU32(&out, kStoreMagic);
-  wire::AppendU8(&out, kStoreVersion);
-  wire::AppendBytes(&out, opts.family);
-  wire::AppendU64(&out, opts.num_shards);
-  AppendFamilyOptions(&out, opts.sketch);
+  std::string piece;
+  uint64_t checksum = kChecksumSeed;
+  auto flush = [&] {
+    checksum = ContinueChecksum(checksum, piece);
+    Status st = emit(piece);
+    piece.clear();
+    return st;
+  };
+  wire::AppendU32(&piece, kStoreMagic);
+  wire::AppendU8(&piece, kStoreVersion);
+  wire::AppendBytes(&piece, opts.family);
+  wire::AppendU64(&piece, opts.num_shards);
+  AppendFamilyOptions(&piece, opts.sketch);
 
   // Count first, then entries in (shard, id) order. Views are pinned per
   // shard, so a concurrently-written store encodes *some* consistent-per-
@@ -125,17 +150,31 @@ std::string EncodeSketchStore(const SketchStore& store) {
   const std::vector<ShardViewPtr> views = store.PinStore();
   uint64_t count = 0;
   for (const ShardViewPtr& view : views) count += view->ids.size();
-  wire::AppendU64(&out, count);
+  wire::AppendU64(&piece, count);
   for (const ShardViewPtr& view : views) {
     for (size_t i = 0; i < view->ids.size(); ++i) {
-      wire::AppendU64(&out, view->ids[i]);
+      wire::AppendU64(&piece, view->ids[i]);
       // Serialize cannot fail here: every stored sketch passed the family's
       // CheckCompatible on insert, so it is of the view family's type.
-      wire::AppendBytes(&out,
+      wire::AppendBytes(&piece,
                         view->family->Serialize(*view->sketches[i]).value());
+      if (piece.size() >= kPieceBytes) IPS_RETURN_IF_ERROR(flush());
     }
   }
-  wire::AppendU64(&out, Checksum(out));
+  IPS_RETURN_IF_ERROR(flush());
+  wire::AppendU64(&piece, checksum);
+  return emit(piece);
+}
+
+}  // namespace
+
+std::string EncodeSketchStore(const SketchStore& store) {
+  std::string out;
+  // Appending to a string cannot fail.
+  IPS_CHECK(EncodeInPieces(store, [&out](std::string_view piece) {
+              out.append(piece);
+              return Status::Ok();
+            }).ok());
   return out;
 }
 
@@ -183,6 +222,8 @@ Result<SketchStore> DecodeSketchStore(std::string_view bytes) {
   // bounded count read rejects absurd values before the loop.
   uint64_t count = 0;
   IPS_RETURN_IF_ERROR(r.ReadCount(16, &count));
+  std::vector<SketchStore::SharedEntry> entries;
+  entries.reserve(static_cast<size_t>(count));
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t id = 0;
     IPS_RETURN_IF_ERROR(r.ReadU64(&id));
@@ -190,11 +231,14 @@ Result<SketchStore> DecodeSketchStore(std::string_view bytes) {
     IPS_RETURN_IF_ERROR(r.ReadBytes(&blob));
     auto sketch = store.family().Deserialize(blob);
     IPS_RETURN_IF_ERROR(sketch.status());
-    // Insert re-validates against the family's resolved options, so a file
-    // whose entries disagree with its own header is rejected.
-    IPS_RETURN_IF_ERROR(store.Insert(id, std::move(sketch).value()));
+    // Re-validate against the family's resolved options, so a file whose
+    // entries disagree with its own header is rejected.
+    IPS_RETURN_IF_ERROR(store.family().CheckCompatible(*sketch.value()));
+    entries.emplace_back(id, std::move(sketch).value());
   }
   IPS_RETURN_IF_ERROR(r.ExpectEnd());
+  // Decode everything first, then publish each shard's view once.
+  store.PublishFresh(std::move(entries));
   return store;
 }
 
@@ -225,17 +269,51 @@ Status CheckStoreMatches(const SketchStore& store,
 
 Status SaveSketchStore(const SketchStore& store, const std::string& path) {
   metrics::ScopedLatency latency(&SaveNsHistogram());
-  const std::string bytes = EncodeSketchStore(store);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot open " + path + " for writing");
+  // Write a sibling temp file, make it durable, then rename it over `path`:
+  // a crash or a failed write at any point leaves the previous file intact.
+  const std::string tmp = path + ".tmp";
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    return Status::Internal("cannot open " + tmp + " for writing: " +
+                            std::strerror(errno));
   }
-  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
+  size_t written = 0;
+  const Status wrote = EncodeInPieces(store, [&](std::string_view piece) {
+    while (!piece.empty()) {
+      const ssize_t n = ::write(fd, piece.data(), piece.size());
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return Status::Internal("short write to " + tmp);
+      piece.remove_prefix(static_cast<size_t>(n));
+      written += static_cast<size_t>(n);
+    }
+    return Status::Ok();
+  });
   BytesWrittenCounter().Add(static_cast<uint64_t>(written));
-  if (written != bytes.size() || !close_ok) {
-    return Status::Internal("short write to " + path);
+  const bool synced = wrote.ok() && ::fsync(fd) == 0;
+  const bool closed = ::close(fd) == 0;
+  if (!synced || !closed) {
+    ::unlink(tmp.c_str());
+    return Status::Internal("short write to " + tmp);
   }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    const std::string reason = std::strerror(errno);
+    ::unlink(tmp.c_str());
+    return Status::Internal("cannot rename " + tmp + " to " + path + ": " +
+                            reason);
+  }
+  // The rename lives in the directory entry: sync the directory too, or a
+  // crash could still resurrect the old file.
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0 || ::fsync(dir_fd) != 0) {
+    if (dir_fd >= 0) ::close(dir_fd);
+    return Status::Internal("cannot sync directory " + dir);
+  }
+  ::close(dir_fd);
   return Status::Ok();
 }
 

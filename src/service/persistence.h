@@ -24,8 +24,10 @@
 //
 // Locking contract (see common/mutex.h): persistence holds no locks of its
 // own. Save serializes straight from pinned shard views (no shard Mutex,
-// no sketch copies) and Load builds a private store no other thread can
-// see yet, so these functions never appear in any lock-order chain.
+// no sketch copies), writing the file in pieces of about 1 MB rather than
+// building it in memory, and Load decodes every entry before it publishes each
+// shard's view once into a private store no other thread can see yet, so
+// these functions never appear in any lock-order chain.
 
 #ifndef IPSKETCH_SERVICE_PERSISTENCE_H_
 #define IPSKETCH_SERVICE_PERSISTENCE_H_
@@ -58,9 +60,11 @@ Result<SketchStore> DecodeSketchStore(std::string_view bytes);
 Status CheckStoreMatches(const SketchStore& store,
                          const SketchStoreOptions& expected);
 
-/// Writes EncodeSketchStore(store) to `path` atomically enough for a single
-/// writer (write to a temp file in place is NOT attempted — this is a plain
-/// truncate-and-write). Internal error statuses on I/O failure.
+/// Writes the bytes of EncodeSketchStore(store) to `path` atomically,
+/// streaming them in pieces (never the whole encoding at once): the bytes go
+/// to `path + ".tmp"`, which is fsynced and renamed over `path`, and then
+/// the directory is fsynced. On any failure `path` still holds the previous
+/// file, untouched. Internal error statuses on I/O failure.
 Status SaveSketchStore(const SketchStore& store, const std::string& path);
 
 /// Reads `path` and decodes it. NotFound if the file cannot be opened.

@@ -4,17 +4,18 @@
 // except to sketch an incoming query exactly once.
 //
 // Parallelism: scans decompose by shard. Each worker thread pins whole
-// shard views (SketchStore::PinShard — one atomic load, no shard mutex, no
-// copies), feeding a private TopKHeap (core/similarity_search.h), and the
+// shard views (SketchStore::PinShard — one pointer copy under a leaf
+// mutex, no shard mutex, no sketch copies), feeding a private TopKHeap (core/similarity_search.h), and the
 // per-shard heaps are merged at the end; BetterHit's deterministic
 // tie-break makes the merged result identical to a serial scan regardless
 // of thread count or shard order.
 //
 // Locking contract (see common/mutex.h): the engine itself is stateless —
 // it owns no mutex and never takes a store shard mutex. Banded probes take
-// one index shard Mutex (kIndexShard) at a time, plus a short-lived kLeaf
-// error-slot Mutex local to each query; that order is strictly
-// rank-increasing, so engine queries can never take part in a lock-order
+// one index shard Mutex (kIndexShard) at a time and release it before
+// pinning the store view (the view's kLeaf mutex) they re-rank against;
+// the short-lived kLeaf error-slot Mutex local to each query is taken with
+// nothing else held. So engine queries can never take part in a lock-order
 // cycle with ingest or index maintenance — and every exact read may run
 // even under a store shard lock (e.g. inside a listener callback).
 
@@ -53,9 +54,10 @@ enum class IndexPolicy {
   /// index-free. A query sees, per shard, the newest epoch published
   /// before its scan reached that shard.
   kExactScan,
-  /// LSH-banded candidate generation + slab re-rank — sublinear, recall
-  /// governed by the index's (b, r). Requires an index; falls back to
-  /// kExactScan without one.
+  /// LSH-banded candidate generation + exact re-rank of the candidates
+  /// against the pinned shard views — sublinear, recall governed by the
+  /// index's (b, r). Requires an index; falls back to kExactScan without
+  /// one.
   kBandedRerank,
 };
 

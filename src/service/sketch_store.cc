@@ -31,11 +31,10 @@ SketchStore::SketchStore(SketchStoreOptions options,
     : options_(std::move(options)), family_(std::move(family)) {
   shards_.reserve(options_.num_shards);
   for (size_t i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-    // Publish the empty epoch-0 view so PinShard never observes null.
+    // Start from the empty epoch-0 view so PinShard never observes null.
     auto empty = std::make_shared<ShardView>();
     empty->family = family_;
-    shards_.back()->view.store(std::move(empty));
+    shards_.push_back(std::make_unique<Shard>(std::move(empty)));
   }
   auto& registry = metrics::MetricsRegistry::Global();
   inserts_ = &registry.GetCounter("ipsketch_store_inserts_total",
@@ -100,10 +99,21 @@ Result<SketchStore> SketchStore::Make(const SketchStoreOptions& options) {
   return SketchStore(std::move(resolved), std::move(family).value());
 }
 
+ShardViewPtr SketchStore::Pin(const Shard& shard) {
+  MutexLock lock(&shard.view_mu);
+  return shard.view;
+}
+
+ShardViewPtr SketchStore::Publish(Shard& shard, ShardViewPtr next) {
+  MutexLock lock(&shard.view_mu);
+  shard.view.swap(next);
+  return next;
+}
+
 bool SketchStore::PublishInsertLocked(
     Shard& shard, uint64_t id,
     const std::shared_ptr<const AnySketch>& sketch) {
-  const ShardViewPtr prev = shard.view.load(std::memory_order_relaxed);
+  const ShardViewPtr prev = Pin(shard);
   auto next = std::make_shared<ShardView>();
   next->epoch = ++shard.version;
   next->family = family_;
@@ -121,12 +131,12 @@ bool SketchStore::PublishInsertLocked(
   next->sketches.insert(next->sketches.end(),
                         prev->sketches.begin() + i + (replace ? 1 : 0),
                         prev->sketches.end());
-  shard.view.store(std::move(next));
+  Publish(shard, std::move(next));
   return !replace;
 }
 
 void SketchStore::PublishEraseLocked(Shard& shard, uint64_t id) {
-  const ShardViewPtr prev = shard.view.load(std::memory_order_relaxed);
+  const ShardViewPtr prev = Pin(shard);
   auto next = std::make_shared<ShardView>();
   next->epoch = ++shard.version;
   next->family = family_;
@@ -140,12 +150,53 @@ void SketchStore::PublishEraseLocked(Shard& shard, uint64_t id) {
   next->sketches.assign(prev->sketches.begin(), prev->sketches.begin() + i);
   next->sketches.insert(next->sketches.end(), prev->sketches.begin() + i + 1,
                         prev->sketches.end());
-  shard.view.store(std::move(next));
+  Publish(shard, std::move(next));
+}
+
+void SketchStore::PublishFresh(std::vector<SharedEntry> entries) {
+  const size_t n = shards_.size();
+  std::vector<std::vector<SharedEntry>> per_shard(n);
+  for (auto& entry : entries) {
+    per_shard[ShardOf(entry.first)].push_back(std::move(entry));
+  }
+  inserts_->Add(entries.size());
+  for (size_t s = 0; s < n; ++s) {
+    auto& bucket = per_shard[s];
+    if (bucket.empty()) continue;
+    // Stable: among equal ids the input order survives, so the last one
+    // of each run is the later entry.
+    std::stable_sort(bucket.begin(), bucket.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    auto next = std::make_shared<ShardView>();
+    next->family = family_;
+    next->ids.reserve(bucket.size());
+    next->sketches.reserve(bucket.size());
+    for (auto& [id, sketch] : bucket) {
+      if (!next->ids.empty() && next->ids.back() == id) {
+        next->sketches.back() = std::move(sketch);
+        continue;
+      }
+      next->ids.push_back(id);
+      next->sketches.push_back(std::move(sketch));
+    }
+    const auto count = static_cast<int64_t>(next->ids.size());
+    Shard& shard = *shards_[s];
+    {
+      MutexLock lock(&shard.mu);
+      IPS_CHECK(shard.version == 0 && shard.listener == nullptr);
+      next->epoch = ++shard.version;
+      Publish(shard, std::move(next));
+    }
+    size_gauge_->Add(count);
+    shard_occupancy_[s]->Add(count);
+  }
 }
 
 ShardViewPtr SketchStore::PinShard(size_t shard) const {
   IPS_CHECK(shard < shards_.size());
-  return shards_[shard]->view.load(std::memory_order_acquire);
+  return Pin(*shards_[shard]);
 }
 
 std::vector<ShardViewPtr> SketchStore::PinStore() const {
@@ -276,7 +327,7 @@ Status SketchStore::Erase(uint64_t id) {
   Shard& shard = *shards_[shard_index];
   {
     MutexLock lock(&shard.mu);
-    if (shard.view.load(std::memory_order_relaxed)->Find(id) == nullptr) {
+    if (Pin(shard)->Find(id) == nullptr) {
       return Status::NotFound("no sketch stored under id " +
                               std::to_string(id));
     }
@@ -305,7 +356,7 @@ Status SketchStore::AttachListener(Listener* listener) {
   for (auto& shard : shards_) {
     MutexLock lock(&shard->mu);
     shard->listener = listener;
-    const ShardViewPtr view = shard->view.load(std::memory_order_relaxed);
+    const ShardViewPtr view = Pin(*shard);
     for (size_t i = 0; i < view->ids.size(); ++i) {
       listener->OnInsert(view->ids[i], *view->sketches[i]);
     }
@@ -440,7 +491,7 @@ Status SketchStore::CompactifyInPlace(
     // keeps serving the old family + old sketches coherently, a view pinned
     // after serves the compact pair — never a mix.
     staged[s]->epoch = ++shard.version;
-    shard.view.store(std::move(staged[s]));
+    Publish(shard, std::move(staged[s]));
   }
   family_ = std::move(made).value();
   options_.family = family_->name();
@@ -468,16 +519,17 @@ Result<SketchStore> QuantizeStore(
   IPS_RETURN_IF_ERROR(CheckQuantizedTarget(out.family()));
   // Quantize straight off the pinned source views: only the compact forms
   // are materialized (peak memory stays source + compact copy), and no
-  // source shard lock is held, so inserting into `out` nests no kStoreShard
+  // source shard lock is held, so publishing `out` nests no kStoreShard
   // locks.
+  std::vector<SketchStore::SharedEntry> entries;
   for (const ShardViewPtr& view : source.PinStore()) {
     for (size_t i = 0; i < view->ids.size(); ++i) {
       auto quantized = QuantizeWmhSketch(out.family(), *view->sketches[i]);
       IPS_RETURN_IF_ERROR(quantized.status());
-      IPS_RETURN_IF_ERROR(
-          out.Insert(view->ids[i], std::move(quantized).value()));
+      entries.emplace_back(view->ids[i], std::move(quantized).value());
     }
   }
+  out.PublishFresh(std::move(entries));
   return out;
 }
 

@@ -13,12 +13,12 @@
 // only as its published, immutable ShardView: writers serialize on the
 // shard mutex and publish a copy-on-write successor view, and every read
 // (Contains, Lookup, size, Ids, Snapshot, query scans) pins the current
-// view with one atomic load and never takes the shard mutex (PinShard; see
-// docs/ARCHITECTURE.md's snapshot-epoch protocol). Writers to different
-// shards never contend, and readers never contend with anyone. Batch
-// ingest sketches *outside* any lock (sketching is the expensive part)
-// with one family Sketcher per worker thread, then takes each shard lock
-// only for the view publication.
+// view with one pointer copy under a per-shard leaf mutex and never takes
+// the shard mutex (PinShard; see docs/ARCHITECTURE.md's snapshot-epoch
+// protocol). Writers to different shards never contend, and readers never
+// contend with anyone. Batch ingest sketches *outside* any lock (sketching
+// is the expensive part) with one family Sketcher per worker thread, then
+// takes each shard lock only for the view publication.
 //
 // Every sketch in a store shares the family's resolved options — the
 // estimator's compatibility requirement — enforced at construction and on
@@ -27,12 +27,12 @@
 #ifndef IPSKETCH_SERVICE_SKETCH_STORE_H_
 #define IPSKETCH_SERVICE_SKETCH_STORE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -71,8 +71,8 @@ struct StoreEntry {
 /// An immutable point-in-time view of one shard — the store's only
 /// representation of its contents. Writers copy-on-write: every mutation
 /// builds the successor view under the shard lock and publishes it with
-/// one atomic shared_ptr swap, so readers pin an epoch with a single atomic
-/// load and never touch the shard mutex (RCU-style; a pinned view keeps its
+/// one shared_ptr swap, so readers pin an epoch with a single pointer copy
+/// and never touch the shard mutex (RCU-style; a pinned view keeps its
 /// sketches alive however many epochs the shard advances past it).
 ///
 /// `family` is the store's family at publication time, so a pinned view
@@ -182,11 +182,12 @@ class SketchStore {
   /// Detaches `listener`. InvalidArgument if it is not the attached one.
   Status DetachListener(Listener* listener);
 
-  /// Pins the currently published view of one shard: one atomic load, no
-  /// shard-mutex acquisition, never null. The view is immutable and sorted
-  /// by id; holding the pointer keeps its epoch's sketches alive while
-  /// writers publish newer epochs. This is the read path heavy query
-  /// traffic should use — it cannot contend with ingest.
+  /// Pins the currently published view of one shard: one pointer copy
+  /// under the shard's leaf view mutex, no shard-mutex acquisition, never
+  /// null. The view is immutable and sorted by id; holding the pointer
+  /// keeps its epoch's sketches alive while writers publish newer epochs.
+  /// This is the read path heavy query traffic should use — it cannot
+  /// contend with ingest.
   ShardViewPtr PinShard(size_t shard) const;
 
   /// Pins every shard's current view. Each view is internally consistent;
@@ -239,19 +240,47 @@ class SketchStore {
     Listener* listener IPS_GUARDED_BY(mu) = nullptr;
     /// Publication count — the epoch stamped into the next view.
     uint64_t version IPS_GUARDED_BY(mu) = 0;
-    /// The published immutable view. Written by mutators under `mu`
-    /// (copy-on-write from the previous view), read lock-free by PinShard.
-    /// Initialized to the empty epoch-0 view at construction, so readers
-    /// never observe null.
-    std::atomic<ShardViewPtr> view;
+    /// Guards only the copy or swap of `view`, never the (immutable) view
+    /// itself. kLeaf: readers take it for one shared_ptr copy and writers
+    /// for one swap, both with nothing acquired under it.
+    mutable Mutex view_mu{LockRank::kLeaf};
+    /// The published immutable view. Swapped by mutators (which also hold
+    /// `mu`), copied by PinShard. Starts as the empty epoch-0 view, so
+    /// readers never observe null.
+    ShardViewPtr view IPS_GUARDED_BY(view_mu);
+
+    explicit Shard(ShardViewPtr empty) : view(std::move(empty)) {}
   };
 
   SketchStore(SketchStoreOptions options,
               std::shared_ptr<const SketchFamily> family);
 
+  /// The current view of `shard` (the PinShard body).
+  static ShardViewPtr Pin(const Shard& shard);
+
+  /// Makes `next` the published view of `shard` and returns the displaced
+  /// view, so the caller drops it after view_mu is released.
+  static ShardViewPtr Publish(Shard& shard, ShardViewPtr next)
+      IPS_REQUIRES(shard.mu);
+
+  using SharedEntry = std::pair<uint64_t, std::shared_ptr<const AnySketch>>;
+
+  /// Publishes every shard's view of a freshly made store at once from
+  /// `entries` (any order; a later entry wins over an earlier one with the
+  /// same id): one sort and one epoch-1 view per non-empty shard, so a
+  /// whole catalog loads in O(n log n) instead of one view copy per
+  /// entry. Every sketch must already have passed CheckCompatible. Dies
+  /// unless the store is still empty and has no listener attached. Used by
+  /// the two builders of whole stores below.
+  void PublishFresh(std::vector<SharedEntry> entries);
+  friend Result<SketchStore> DecodeSketchStore(std::string_view bytes);
+  friend Result<SketchStore> QuantizeStore(
+      const SketchStore& source, const std::string& target_family,
+      const std::map<std::string, std::string>& extra_params);
+
   /// Publishes the successor view of `shard` with `id` inserted or
   /// replaced: O(shard size) pointer copies from the previous view, one
-  /// sorted-position splice, one atomic swap. Returns true iff `id` is new.
+  /// sorted-position splice, one Publish. Returns true iff `id` is new.
   bool PublishInsertLocked(Shard& shard, uint64_t id,
                            const std::shared_ptr<const AnySketch>& sketch)
       IPS_REQUIRES(shard.mu);

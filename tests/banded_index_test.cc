@@ -1,12 +1,15 @@
 // BandedIndex + index-aware QueryEngine: listener attach/replay coherence
 // under insert/erase/replace, banded top-k against the exact scan (banded
-// must find planted neighbors), TopK edge cases on both paths,
-// deterministic tie-breaks, null-index fallback accounting, recall probes,
-// and a concurrent insert/erase/query stress the TSAN job runs.
+// must find planted neighbors, and for every banding family its hits are a
+// bit-equal, same-order subset of the exact ranking), per-family LSH codes,
+// TopK edge cases on both paths, deterministic tie-breaks, null-index
+// fallback accounting, recall probes, and a concurrent insert/erase/query
+// stress the TSAN job runs.
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -71,6 +74,168 @@ TEST(BandedLshParamsTest, ValidateEnforcesTheBandsTimesRowsBudget) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ((BandedLshParams{17, 4}).Validate(64).code(),
             StatusCode::kInvalidArgument);  // 68 > 64
+}
+
+// --- per-family banding -------------------------------------------------
+
+struct BandingFamily {
+  std::string family;
+  std::map<std::string, std::string> params;
+};
+
+std::vector<BandingFamily> BandingFamilies() {
+  return {
+      {"wmh", {{"engine", "dart"}}},
+      {"icws", {{"engine", "dart"}}},
+      {"mh", {}},
+      {"wmh_compact", {{"engine", "dart"}}},
+      {"wmh_bbit", {{"engine", "dart"}, {"bits", "12"}}},
+  };
+}
+
+SketchStoreOptions BandingStoreOptions(const BandingFamily& config) {
+  SketchStoreOptions opts = SmallStoreOptions(config.family);
+  opts.sketch.params = config.params;
+  return opts;
+}
+
+std::shared_ptr<const SketchFamily> MakeFamilyOrDie(
+    const std::string& name, const FamilyOptions& options) {
+  auto family = MakeFamily(name, options);
+  IPS_CHECK(family.ok());
+  return std::move(family).value();
+}
+
+std::unique_ptr<AnySketch> SketchOrDie(const SketchFamily& family,
+                                       const SparseVector& vec) {
+  auto sketcher = family.MakeSketcher();
+  IPS_CHECK(sketcher.ok());
+  auto sketch = family.NewSketch();
+  IPS_CHECK(sketcher.value()->Sketch(vec, sketch.get()).ok());
+  return sketch;
+}
+
+class BandingFamilyTest : public ::testing::TestWithParam<BandingFamily> {};
+
+TEST_P(BandingFamilyTest, BandedTopKIsABitEqualSameOrderSubsetOfExact) {
+  constexpr size_t kCorpus = 60;
+  auto made = SketchStore::Make(BandingStoreOptions(GetParam()));
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  SketchStore store = std::move(made).value();
+  for (size_t i = 0; i < kCorpus; ++i) {
+    ASSERT_TRUE(store.BuildAndInsert(i + 1, RandomVector(300 + i)).ok());
+  }
+  auto index = BandedIndex::MakeAttached(&store, {16, 4});
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  QueryEngine exact(&store, nullptr);
+  QueryEngine banded(&store, nullptr, index.value().get(),
+                     IndexPolicy::kBandedRerank);
+
+  // Self-queries (guaranteed candidates) and fresh vectors.
+  for (uint64_t seed : {300u, 317u, 359u, 9001u, 9002u}) {
+    SCOPED_TRACE(seed);
+    const SparseVector query = RandomVector(seed);
+    auto ranking = exact.TopK(query, kCorpus);
+    auto hits = banded.TopK(query, 10);
+    ASSERT_TRUE(ranking.ok());
+    ASSERT_TRUE(hits.ok());
+    ASSERT_EQ(ranking.value().size(), kCorpus);
+    if (seed < 9000) {
+      ASSERT_FALSE(hits.value().empty());
+      EXPECT_EQ(hits.value()[0].id, seed - 300 + 1);
+    }
+    size_t next_rank = 0;
+    for (const QueryHit& hit : hits.value()) {
+      auto it = std::find_if(
+          ranking.value().begin() + static_cast<ptrdiff_t>(next_rank),
+          ranking.value().end(),
+          [&](const QueryHit& h) { return h.id == hit.id; });
+      ASSERT_NE(it, ranking.value().end())
+          << "id " << hit.id << " out of exact-ranking order";
+      EXPECT_EQ(std::bit_cast<uint64_t>(it->estimate),
+                std::bit_cast<uint64_t>(hit.estimate))
+          << "id " << hit.id;
+      next_rank = static_cast<size_t>(it - ranking.value().begin()) + 1;
+    }
+  }
+}
+
+TEST_P(BandingFamilyTest, ProbeShardRefusesIncompatibleQueries) {
+  auto made = SketchStore::Make(BandingStoreOptions(GetParam()));
+  ASSERT_TRUE(made.ok());
+  SketchStore store = std::move(made).value();
+  ASSERT_TRUE(store.BuildAndInsert(1, RandomVector(1)).ok());
+  auto index = BandedIndex::MakeAttached(&store, {16, 4});
+  ASSERT_TRUE(index.ok());
+
+  FamilyOptions other = store.family().options();
+  other.seed += 1;  // same type, different identity
+  auto foreign = SketchOrDie(*MakeFamilyOrDie(GetParam().family, other),
+                             RandomVector(1));
+  std::vector<uint64_t> keys;
+  EXPECT_EQ(index.value()->QueryBandKeys(*foreign, &keys).code(),
+            StatusCode::kInvalidArgument);
+  // Refused before any bucket is probed, even with no keys to collide on.
+  for (size_t s = 0; s < store.num_shards(); ++s) {
+    TopKHeap heap(5);
+    IndexProbeStats stats;
+    EXPECT_EQ(index.value()->ProbeShard(*foreign, {}, s, &heap, &stats).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(stats.candidates, 0u);
+  }
+}
+
+TEST_P(BandingFamilyTest, LshCodesAreOnePerSampleAndCollisionExact) {
+  FamilyOptions options = BandingStoreOptions(GetParam()).sketch;
+  options.num_samples = 67;  // odd, not a multiple of any band width
+  auto family = MakeFamilyOrDie(GetParam().family, options);
+  ASSERT_TRUE(family->supports_banding());
+  auto a = SketchOrDie(*family, RandomVector(4000));
+  auto b = SketchOrDie(*family, RandomVector(4001));
+
+  std::vector<uint64_t> codes_a, codes_b;
+  ASSERT_TRUE(family->AppendLshCodes(*a, &codes_a).ok());
+  ASSERT_TRUE(family->AppendLshCodes(*b, &codes_b).ok());
+  EXPECT_EQ(codes_a.size(), 67u);
+  EXPECT_EQ(codes_b.size(), 67u);
+
+  // Two sketches of the same vector collide on every sample.
+  auto duplicate = SketchOrDie(*family, RandomVector(4000));
+  std::vector<uint64_t> codes_dup;
+  ASSERT_TRUE(family->AppendLshCodes(*duplicate, &codes_dup).ok());
+  EXPECT_EQ(codes_a, codes_dup);
+
+  // Append accumulates rather than clearing.
+  ASSERT_TRUE(family->AppendLshCodes(*b, &codes_a).ok());
+  EXPECT_EQ(codes_a.size(), 2 * 67u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BandingFamilies, BandingFamilyTest, ::testing::ValuesIn(BandingFamilies()),
+    [](const ::testing::TestParamInfo<BandingFamily>& info) {
+      return info.param.family;
+    });
+
+TEST(BandedIndexTest, NonBandingFamiliesRefuseCodes) {
+  for (const char* name : {"kmv", "cs", "jl"}) {
+    SCOPED_TRACE(name);
+    auto family = MakeFamilyOrDie(name, SmallStoreOptions(name).sketch);
+    EXPECT_FALSE(family->supports_banding());
+    std::vector<uint64_t> codes;
+    auto sketch = SketchOrDie(*family, RandomVector(5000));
+    EXPECT_EQ(family->AppendLshCodes(*sketch, &codes).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_TRUE(codes.empty());
+  }
+}
+
+TEST(BandedIndexTest, RegistryBandingFlagsMatchTheSamplingFamilies) {
+  for (const FamilyInfo& info : RegisteredFamilies()) {
+    const bool expected = info.name == "wmh" || info.name == "icws" ||
+                          info.name == "mh" || info.name == "wmh_compact" ||
+                          info.name == "wmh_bbit";
+    EXPECT_EQ(info.supports_banding, expected) << info.name;
+  }
 }
 
 TEST(BandedIndexTest, MakeAttachedRejectsNonBandingFamilies) {

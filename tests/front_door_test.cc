@@ -240,7 +240,7 @@ TEST(FrontDoorTest, SnapshotReadsServeThroughCompactifyRefusal) {
   ASSERT_TRUE(before.ok());
 
   // With a listener attached, in-place compactification must refuse — the
-  // slab mirror cannot survive a family swap.
+  // index's band keys are family codes and cannot survive a family swap.
   Status st = store.CompactifyInPlace("wmh_compact");
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);

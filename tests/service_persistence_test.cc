@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -462,6 +463,74 @@ TEST(StorePersistenceTest, RejectsAbsurdShardCounts) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(decoded.status().message().find("shard count"),
             std::string::npos);
+}
+
+TEST(StorePersistenceTest, LoadPublishesEachShardViewOnce) {
+  const auto store = MakePopulatedStore(60);
+  auto loaded = DecodeSketchStore(EncodeSketchStore(store));
+  ASSERT_TRUE(loaded.ok());
+  size_t non_empty = 0;
+  for (size_t s = 0; s < loaded.value().num_shards(); ++s) {
+    const ShardViewPtr view = loaded.value().PinShard(s);
+    EXPECT_EQ(view->epoch, view->ids.empty() ? 0u : 1u) << "shard " << s;
+    non_empty += view->ids.empty() ? 0 : 1;
+  }
+  EXPECT_GT(non_empty, 1u);
+  EXPECT_EQ(loaded.value().Ids(), store.Ids());
+}
+
+TEST(StorePersistenceTest, LaterDuplicateIdWinsOnLoad) {
+  // Hand-build a file whose entry list repeats id 11: the header of an
+  // empty store, then the two entries of a populated one, then id 11 again
+  // with a different sketch.
+  const auto store = MakePopulatedStore(2);  // ids 0 and 11
+  const std::string header = EncodeSketchStore(MakePopulatedStore(0));
+  const std::string full = EncodeSketchStore(store);
+  const size_t prefix = header.size() - 16;  // minus [count][checksum]
+  std::string file = full.substr(0, prefix);
+  wire::AppendU64(&file, 3);
+  file += full.substr(prefix + 8, full.size() - 8 - (prefix + 8));
+  auto later = store.family().NewSketch();
+  auto sketcher = store.family().MakeSketcher();
+  ASSERT_TRUE(sketcher.ok());
+  ASSERT_TRUE(sketcher.value()->Sketch(RandomVector(77), later.get()).ok());
+  const std::string later_bytes = store.family().Serialize(*later).value();
+  wire::AppendU64(&file, 11);
+  wire::AppendBytes(&file, later_bytes);
+  wire::AppendU64(&file, Fnv1a(file));
+
+  auto loaded = DecodeSketchStore(file);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().Ids(), (std::vector<uint64_t>{0, 11}));
+  auto got = loaded.value().Lookup(11);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(loaded.value().family().Serialize(*got.value()).value(),
+            later_bytes);
+}
+
+TEST(StorePersistenceTest, FailedSaveLeavesThePreviousFileIntact) {
+  const std::string path = TempPath("store_atomic.bin");
+  const std::string tmp = path + ".tmp";
+  const auto first = MakePopulatedStore(10);
+  ASSERT_TRUE(SaveSketchStore(first, path).ok());
+  // A successful save leaves no temp file behind.
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+
+  // A directory squatting on the temp name makes the next save fail before
+  // it touches `path`.
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  const auto second = MakePopulatedStore(25);
+  EXPECT_FALSE(SaveSketchStore(second, path).ok());
+  auto reloaded = LoadSketchStore(path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(EncodeSketchStore(reloaded.value()), EncodeSketchStore(first));
+
+  std::filesystem::remove(tmp);
+  ASSERT_TRUE(SaveSketchStore(second, path).ok());
+  auto replaced = LoadSketchStore(path);
+  ASSERT_TRUE(replaced.ok());
+  EXPECT_EQ(EncodeSketchStore(replaced.value()), EncodeSketchStore(second));
+  std::remove(path.c_str());
 }
 
 TEST(StorePersistenceTest, LoadMissingFileIsNotFound) {

@@ -558,12 +558,16 @@ TEST(SketchServiceStressTest, ConcurrentIngestAndQuery) {
   const SparseVector query = RandomVector(777);
 
   std::atomic<bool> stop{false};
+  std::atomic<size_t> readers_started{0};
   std::atomic<size_t> insert_failures{0};
   std::atomic<size_t> reader_errors{0};
 
   std::vector<std::thread> writers;
   for (size_t w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
+      // Ingest only once every reader is running, so the two sides overlap
+      // however the threads happen to be scheduled.
+      while (readers_started.load() < kReaders) std::this_thread::yield();
       for (size_t i = 0; i < kPerWriter; ++i) {
         const uint64_t id = w * kPerWriter + i;
         if (!store.BuildAndInsert(id, RandomVector(id)).ok()) {
@@ -576,6 +580,7 @@ TEST(SketchServiceStressTest, ConcurrentIngestAndQuery) {
   std::vector<std::thread> readers;
   for (size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
+      readers_started.fetch_add(1);
       size_t rounds = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         // Serial engines only inside reader threads: the shared pool is for

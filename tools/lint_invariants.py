@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific invariant lint — rules no off-the-shelf tool knows.
 
-Six rules, each guarding an invariant the test suite can only probe
+Seven rules, each guarding an invariant the test suite can only probe
 point-wise but a static scan can prove tree-wide:
 
   wire-tags      SketchTypeTag values are unique, every tag has a wire
@@ -22,6 +22,12 @@ point-wise but a static scan can prove tree-wide:
                  std::unique_lock outside src/common/mutex.{h,cc}: every
                  lock goes through the annotated, rank-checked
                  ipsketch::Mutex wrapper.
+  atomic-shared-ptr
+                 No std::atomic<std::shared_ptr<...>> under src/: libstdc++
+                 12 releases its internal lock in load() with a relaxed
+                 store, so a reader's pointer read races the next writer's
+                 swap (ThreadSanitizer reports it). Publish shared views
+                 behind a leaf ipsketch::Mutex instead.
   fuzz-coverage  Every SketchTypeTag enumerator maps to a fuzz/ harness with
                  a non-empty checked-in seed corpus (plus the store-file and
                  FamilyOptions harnesses) — a wire decoder that is not
@@ -247,6 +253,35 @@ def check_raw_mutex(root: Path):
     return findings
 
 
+SHARED_PTR_ALIAS = re.compile(r"using\s+(\w+)\s*=\s*std::shared_ptr\b")
+
+
+def check_atomic_shared_ptr(root: Path):
+    findings = []
+    base = root / "src"
+    if not base.is_dir():
+        return findings
+    files = [p for p in sorted(base.rglob("*")) if p.suffix in (".h", ".cc")]
+    texts = {p: p.read_text(encoding="utf-8") for p in files}
+    # Aliases like `using ShardViewPtr = std::shared_ptr<...>` hide the
+    # type from a plain text match, so collect them first.
+    names = ["std::shared_ptr"]
+    for text in texts.values():
+        names.extend(SHARED_PTR_ALIAS.findall(text))
+    pattern = re.compile(r"std::atomic\s*<\s*(?:" +
+                         "|".join(re.escape(n) for n in names) + r")\b")
+    for path, text in texts.items():
+        rel = path.relative_to(root).as_posix()
+        for i, line in enumerate(text.splitlines(), 1):
+            if pattern.search(line):
+                findings.append(
+                    f"atomic-shared-ptr: {rel}:{i}: std::atomic of a "
+                    "shared_ptr races under libstdc++ 12 (relaxed unlock "
+                    "in load) — guard a plain shared_ptr with a kLeaf "
+                    "ipsketch::Mutex")
+    return findings
+
+
 def check_fuzz_coverage(root: Path):
     findings = []
     header = read(root, SERIALIZE_H)
@@ -350,6 +385,7 @@ RULES = {
     "families": check_families,
     "metrics": check_metrics,
     "raw-mutex": check_raw_mutex,
+    "atomic-shared-ptr": check_atomic_shared_ptr,
     "fuzz-coverage": check_fuzz_coverage,
     "docs-freshness": check_docs_freshness,
 }
@@ -403,6 +439,15 @@ def seed_raw_mutex(root: Path):
         f.write("\n// seeded by lint self-test\nstatic std::mutex lint_mu;\n")
 
 
+def seed_atomic_shared_ptr(root: Path, declaration: str):
+    path = root / "src/service/sketch_store.h"
+    text = path.read_text(encoding="utf-8")
+    seeded = text.replace("    ShardViewPtr view IPS_GUARDED_BY(view_mu);",
+                          f"    {declaration} view;", 1)
+    assert seeded != text, "atomic shared_ptr seed did not apply"
+    path.write_text(seeded, encoding="utf-8")
+
+
 def seed_fuzz_coverage(root: Path):
     # Empty one per-tag corpus: the tag still has a harness, but no seed.
     corpus = root / "fuzz" / "corpus" / "fuzz_kmv_decode"
@@ -451,6 +496,12 @@ SEEDS = {
     "families": [("unmapped family", seed_families)],
     "metrics": [("unprefixed metric", seed_metrics)],
     "raw-mutex": [("raw std::mutex", seed_raw_mutex)],
+    "atomic-shared-ptr": [
+        ("atomic shared_ptr view", lambda root: seed_atomic_shared_ptr(
+            root, "std::atomic<std::shared_ptr<const ShardView>>")),
+        ("atomic aliased shared_ptr view", lambda root: seed_atomic_shared_ptr(
+            root, "std::atomic<ShardViewPtr>")),
+    ],
     "fuzz-coverage": [("emptied seed corpus", seed_fuzz_coverage)],
     "docs-freshness": [
         ("undocumented metric", seed_docs_metric),
