@@ -10,9 +10,9 @@ namespace lock_rank_internal {
 
 namespace {
 
-// Per-thread stack of held mutexes. Real chains are ≤ 4 deep
-// (kListenerRegistry → kStoreShard → kIndexShard → kLeaf); 16 leaves
-// headroom without ever allocating on a lock path.
+// Per-thread stack of held mutexes. Real chains are 2 deep (kStoreShard
+// → kLeaf, kIndexShard → kLeaf); 16 leaves headroom without ever
+// allocating on a lock path.
 constexpr size_t kMaxHeld = 16;
 
 struct HeldStack {

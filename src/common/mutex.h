@@ -20,10 +20,11 @@
 //     release numbers gate this).
 //
 // The rank order encodes the service layer's documented acquisition
-// chains (see each rank's comment); the deepest real chain is
-// AttachListener's kListenerRegistry → kStoreShard → kIndexShard — the
-// store-shard → index-shard order the SketchStore::Listener mirror
-// protocol (index/banded_index.h) relies on.
+// chains (see each rank's comment). The deepest real chains are two locks
+// deep: a store writer's kStoreShard → kLeaf (publishing a shard view) and
+// a banded probe's kIndexShard → kLeaf (pinning the view its index shard
+// catches up to). No path nests a store shard lock with an index shard
+// lock.
 
 #ifndef IPSKETCH_COMMON_MUTEX_H_
 #define IPSKETCH_COMMON_MUTEX_H_
@@ -41,24 +42,21 @@ namespace ipsketch {
 /// checker turns cross-shard (and cross-store) ABBA orders and accidental
 /// re-entry into deterministic aborts.
 enum class LockRank : int {
-  /// SketchStore::listener_mu_ — serializes listener attach/detach and the
-  /// compactify guard. Held *across* the per-shard replay in
-  /// AttachListener, so it must rank below every shard lock.
-  kListenerRegistry = 10,
-  /// SketchStore per-shard locks. Mutation paths notify the attached
-  /// listener while holding one, so everything a listener acquires must
-  /// rank above this.
+  /// SketchStore per-shard locks. Writers hold one while building and
+  /// publishing the shard's successor view; reads never take one.
   kStoreShard = 20,
-  /// BandedIndex per-shard locks — acquired inside listener callbacks
-  /// under the store shard lock (the store-shard → index-shard order of
-  /// the mirror protocol).
+  /// BandedIndex per-shard locks. A probe (or size()) holds one while it
+  /// pins the store's view (kLeaf) and catches the shard's buckets up to
+  /// it, then releases it before re-ranking. Ranked above kStoreShard so
+  /// every read may run while the caller holds a store-shard-ranked lock.
   kIndexShard = 30,
   /// FrontDoor's admission-queue lock (service/front_door.h). Held only
   /// for queue pushes/pops and the batch-slot bookkeeping; batch execution
   /// and completion callbacks run strictly after it is released. Ranked
   /// below kPoolQueue so dispatch may hand work to the pool while holding
-  /// it, and above the shard ranks because Submit can be called from
-  /// listener callbacks that hold a store or index shard lock.
+  /// it, and above the shard ranks so a caller holding a shard-ranked lock
+  /// may still submit (an inline, null-pool read then runs after this lock
+  /// is released).
   kFrontDoorQueue = 45,
   /// ThreadPool's task-queue lock. Nothing is ever acquired under it.
   kPoolQueue = 50,

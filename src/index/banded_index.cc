@@ -70,73 +70,42 @@ Result<std::unique_ptr<BandedIndex>> BandedIndex::MakeAttached(
   }
   IPS_RETURN_IF_ERROR(params.Validate(family.options().num_samples));
   std::unique_ptr<BandedIndex> index(new BandedIndex(store, params));
-  // Attach replays every resident sketch through OnInsert, so the index
-  // comes back consistent with the store no matter when it is created.
-  IPS_RETURN_IF_ERROR(store->AttachListener(index.get()));
-  index->attached_ = true;
+  for (size_t s = 0; s < index->shards_.size(); ++s) {
+    Shard& shard = *index->shards_[s];
+    MutexLock lock(&shard.mu);
+    index->CatchUpLocked(shard, s);
+  }
   return index;
 }
 
 BandedIndex::~BandedIndex() {
-  if (attached_) {
-    // Cannot fail: this index is the attached listener.
-    store_->DetachListener(this);
+  // Counts what was filed without catching up: the store may already be
+  // gone.
+  int64_t filed = 0;
+  for (const auto& shard : shards_) {
+    MutexLock lock(&shard->mu);
+    if (shard->built != nullptr) {
+      filed += static_cast<int64_t>(shard->built->ids.size());
+    }
   }
-  const auto resident = static_cast<int64_t>(size());
-  if (resident != 0) size_gauge_->Add(-resident);
+  if (filed != 0) size_gauge_->Add(-filed);
 }
 
 size_t BandedIndex::size() const {
   size_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    total += shard->keys_of.size();
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Shard& shard = *shards_[s];
+    MutexLock lock(&shard.mu);
+    total += CatchUpLocked(shard, s)->ids.size();
   }
   return total;
 }
 
-void BandedIndex::OnInsert(uint64_t id, const AnySketch& sketch) {
-  // Every sketch reaching a listener already passed the store's
-  // CheckCompatible, so this cannot fail.
-  std::vector<uint64_t> keys;
-  IPS_CHECK(QueryBandKeys(sketch, &keys).ok());
-  Shard& shard = *shards_[store_->ShardOf(id)];
-  MutexLock lock(&shard.mu);
-  // A store replace arrives as another OnInsert for a filed id: unfile
-  // the stale keys first.
-  const bool replaced = RemoveLocked(shard, id);
-  for (uint64_t key : keys) shard.buckets[key].push_back(id);
-  shard.keys_of.emplace(id, std::move(keys));
-  inserts_->Add(1);
-  if (!replaced) size_gauge_->Add(1);
-}
-
-void BandedIndex::OnErase(uint64_t id) {
-  Shard& shard = *shards_[store_->ShardOf(id)];
-  MutexLock lock(&shard.mu);
-  if (RemoveLocked(shard, id)) {
-    erases_->Add(1);
-    size_gauge_->Add(-1);
-  }
-}
-
-bool BandedIndex::RemoveLocked(Shard& shard, uint64_t id) {
-  auto filed = shard.keys_of.extract(id);
-  if (filed.empty()) return false;
-  for (uint64_t key : filed.mapped()) {
-    // A key repeated across bands emptied its bucket on the first pass.
-    auto it = shard.buckets.find(key);
-    if (it == shard.buckets.end()) continue;
-    std::erase(it->second, id);
-    if (it->second.empty()) shard.buckets.erase(it);
-  }
-  return true;
-}
-
-Status BandedIndex::QueryBandKeys(const AnySketch& query,
-                                  std::vector<uint64_t>* keys) const {
+Status BandedIndex::BandKeys(const SketchFamily& family,
+                             const AnySketch& sketch,
+                             std::vector<uint64_t>* keys) const {
   std::vector<uint64_t> codes;
-  IPS_RETURN_IF_ERROR(store_->family().AppendLshCodes(query, &codes));
+  IPS_RETURN_IF_ERROR(family.AppendLshCodes(sketch, &codes));
   keys->clear();
   keys->reserve(params_.bands);
   for (size_t j = 0; j < params_.bands; ++j) {
@@ -144,6 +113,79 @@ Status BandedIndex::QueryBandKeys(const AnySketch& query,
         BandKey(codes.data() + j * params_.rows, params_.rows, j, key_seed_));
   }
   return Status::Ok();
+}
+
+Status BandedIndex::QueryBandKeys(const AnySketch& query,
+                                  std::vector<uint64_t>* keys) const {
+  return BandKeys(store_->family(), query, keys);
+}
+
+ShardViewPtr BandedIndex::CatchUpLocked(Shard& shard,
+                                        size_t shard_index) const {
+  ShardViewPtr view = store_->PinShard(shard_index);
+  // Pointers, not epochs: a store move-assigned over this one restarts its
+  // epochs at 1.
+  if (view == shard.built) return view;
+  const ShardView* old = shard.built.get();
+  const size_t old_size = old == nullptr ? 0 : old->ids.size();
+  uint64_t filed = 0;
+  uint64_t unfiled = 0;
+  if (old != nullptr && old->family != view->family) {
+    // A new family (compactify, or another store moved in) replaced every
+    // sketch: drop all buckets at once rather than unfile id by id.
+    unfiled = old_size;
+    shard.buckets.clear();
+    old = nullptr;
+  }
+  // Stored sketches all passed the store's CheckCompatible, so computing
+  // their keys cannot fail. (A plain reference: lambdas do not inherit the
+  // held lock in clang's thread-safety analysis.)
+  auto& buckets = shard.buckets;
+  std::vector<uint64_t> keys;
+  auto file = [&](size_t j) {
+    IPS_CHECK(BandKeys(*view->family, *view->sketches[j], &keys).ok());
+    for (uint64_t key : keys) buckets[key].push_back(view->ids[j]);
+    ++filed;
+  };
+  auto unfile = [&](size_t i) {
+    IPS_CHECK(BandKeys(*old->family, *old->sketches[i], &keys).ok());
+    for (uint64_t key : keys) {
+      // A key repeated across bands emptied its bucket on the first pass.
+      auto it = buckets.find(key);
+      if (it == buckets.end()) continue;
+      std::erase(it->second, old->ids[i]);
+      if (it->second.empty()) buckets.erase(it);
+    }
+  };
+  // Both views are sorted by id: one merge walk finds every difference.
+  const size_t n_old = old == nullptr ? 0 : old->ids.size();
+  const size_t n_new = view->ids.size();
+  size_t i = 0;
+  size_t j = 0;
+  while (i < n_old || j < n_new) {
+    if (j == n_new || (i < n_old && old->ids[i] < view->ids[j])) {
+      unfile(i++);
+      ++unfiled;
+    } else if (i == n_old || view->ids[j] < old->ids[i]) {
+      file(j++);
+    } else {
+      // Same id: refile it only if it was replaced (one insert, as the
+      // store counts a replace). The built view still owns the old sketch,
+      // so a new sketch cannot reuse its address.
+      if (old->sketches[i] != view->sketches[j]) {
+        unfile(i);
+        file(j);
+      }
+      ++i;
+      ++j;
+    }
+  }
+  inserts_->Add(filed);
+  erases_->Add(unfiled);
+  size_gauge_->Add(static_cast<int64_t>(n_new) -
+                   static_cast<int64_t>(old_size));
+  shard.built = view;
+  return view;
 }
 
 Status BandedIndex::ProbeShard(const AnySketch& query,
@@ -154,9 +196,11 @@ Status BandedIndex::ProbeShard(const AnySketch& query,
   IPS_RETURN_IF_ERROR(store_->family().CheckCompatible(query));
   std::vector<uint64_t> candidates;
   uint64_t buckets_hit = 0;
+  ShardViewPtr view;
   {
-    const Shard& shard = *shards_[shard_index];
+    Shard& shard = *shards_[shard_index];
     MutexLock lock(&shard.mu);
+    view = CatchUpLocked(shard, shard_index);
     for (uint64_t key : keys) {
       auto it = shard.buckets.find(key);
       if (it == shard.buckets.end()) continue;
@@ -173,18 +217,16 @@ Status BandedIndex::ProbeShard(const AnySketch& query,
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
-  const ShardViewPtr view = store_->PinShard(shard_index);
-  uint64_t reranked = 0;
   for (uint64_t id : candidates) {
+    // The buckets were built from this very view, so every id is in it.
     const AnySketch* sketch = view->Find(id);
-    if (sketch == nullptr) continue;  // erased since the ids were gathered
+    IPS_CHECK(sketch != nullptr);
     auto est = view->family->Estimate(query, *sketch);
     IPS_RETURN_IF_ERROR(est.status());
     heap->Offer(static_cast<size_t>(id), est.value());
-    ++reranked;
   }
-  stats->candidates += reranked;
-  candidates_->Add(reranked);
+  stats->candidates += candidates.size();
+  candidates_->Add(candidates.size());
   return Status::Ok();
 }
 

@@ -12,15 +12,21 @@
 // scan makes — so banding only ever *misses* true hits, never mis-scores
 // them. The index holds no sketches: only ids and band keys.
 //
-// The index is a SketchStore::Listener: MakeAttached subscribes it to the
-// store and replays what is already resident, after which every insert,
-// replace, and erase is filed synchronously under the store's shard lock
-// for that id. The index's shard partition mirrors the store's
-// (SketchStore::ShardOf), and each index shard has its own mutex; the only
-// lock order is store-shard → index-shard. A probe holds its index shard
-// lock only to gather candidate ids, and pins the store view after
-// releasing it, so queries never deadlock against writers. A candidate the
-// pinned view does not hold (erased between the two steps) is skipped.
+// The index is derived from the store's published views, not fed by a
+// second write stream: each index shard remembers the ShardView its
+// buckets were built from. A probe (and size()) locks the index shard, pins
+// the store's current view of it, and — if that is a different view —
+// catches up by walking the two sorted views together: new ids are filed,
+// erased ids unfiled, and a replaced id (same id, different sketch) is
+// unfiled under the keys recomputed from the old view's sketch, which the
+// built view still holds. A view whose family changed (CompactifyInPlace,
+// or a different store move-assigned in) rebuilds the shard. The probe
+// then re-ranks against that same pinned view, so every candidate it
+// gathers is present in the view it is scored against. Writers never touch
+// the index, the index registers nothing with the store, and any number of
+// indexes may serve one store. Index shard s follows store shard s; the
+// only lock order is index shard → the store's view mutex (kIndexShard →
+// kLeaf).
 //
 // Supported families: exactly those with FamilyInfo::supports_banding (the
 // minwise samplers wmh, icws, mh, wmh_compact, wmh_bbit). The linear
@@ -60,41 +66,36 @@ struct BandedLshParams {
 /// Per-query probe counters, aggregated across shards by the caller.
 struct IndexProbeStats {
   uint64_t buckets_probed = 0;  ///< non-empty buckets hit
-  uint64_t candidates = 0;      ///< deduped candidates re-ranked (found
-                                ///< in the pinned store view)
+  uint64_t candidates = 0;      ///< deduped candidates re-ranked
 };
 
 /// The banded candidate index over one store. Thread-safe; see the file
 /// comment for the locking model.
-class BandedIndex final : public SketchStore::Listener {
+class BandedIndex final {
  public:
-  /// Builds an index over `store` and attaches it as the store's mutation
-  /// listener, replaying everything already resident. FailedPrecondition if
-  /// the store's family does not support banding or a listener is already
-  /// attached; InvalidArgument for out-of-range (b, r). The store must
-  /// outlive the returned index (which detaches itself on destruction).
+  /// Builds an index over `store`, filing every resident sketch now (so
+  /// the build cost is paid here, not by the first query).
+  /// FailedPrecondition if the store's family does not support banding;
+  /// InvalidArgument for out-of-range (b, r). The store must outlive every
+  /// call on the returned index and keep its shard count.
   static Result<std::unique_ptr<BandedIndex>> MakeAttached(
       SketchStore* store, const BandedLshParams& params);
 
-  /// Detaches from the store.
-  ~BandedIndex() override;
+  ~BandedIndex();
 
   BandedIndex(const BandedIndex&) = delete;
   BandedIndex& operator=(const BandedIndex&) = delete;
 
-  /// The store this index mirrors.
+  /// The store this index is derived from.
   const SketchStore* store() const { return store_; }
 
   /// The banding knob the index was built with.
   const BandedLshParams& params() const { return params_; }
 
-  /// Total resident sketches (sums shards; not a point-in-time snapshot
-  /// across them, same caveat as SketchStore::size).
+  /// Total filed sketches after catching every shard up to its current
+  /// view (sums shards; not a point-in-time snapshot across them, same
+  /// caveat as SketchStore::size).
   size_t size() const;
-
-  // SketchStore::Listener — called under the store's shard lock.
-  void OnInsert(uint64_t id, const AnySketch& sketch) override;
-  void OnErase(uint64_t id) override;
 
   /// The query's b band keys, in band order — computed once per query and
   /// shared across shard probes (and the keys a stored sketch is filed
@@ -103,24 +104,24 @@ class BandedIndex final : public SketchStore::Listener {
   Status QueryBandKeys(const AnySketch& query,
                        std::vector<uint64_t>* keys) const;
 
-  /// Probes one shard's buckets with `keys` (from QueryBandKeys), re-ranks
-  /// the deduped candidates against the store's pinned view of `shard`,
-  /// and offers (id, estimate) pairs to `heap`. Holds the index shard's
-  /// lock only while gathering candidate ids. InvalidArgument unless
-  /// `query` passes the family's CheckCompatible.
+  /// Catches `shard` up to the store's current view of it, gathers the
+  /// deduped candidates its buckets hold for `keys` (from QueryBandKeys),
+  /// re-ranks them against that same view, and offers (id, estimate) pairs
+  /// to `heap`. Holds the index shard's lock for the catch-up and gather
+  /// only. InvalidArgument unless `query` passes the family's
+  /// CheckCompatible.
   Status ProbeShard(const AnySketch& query,
                     const std::vector<uint64_t>& keys, size_t shard,
                     TopKHeap* heap, IndexProbeStats* stats) const;
 
  private:
   struct Shard {
-    /// kIndexShard: acquired inside listener callbacks while the store's
-    /// shard lock (kStoreShard) is held — the mirror protocol's only order.
+    /// kIndexShard: held while pinning the store's view (kLeaf) and
+    /// catching up; never held by anything that takes a store shard lock.
     mutable Mutex mu{LockRank::kIndexShard};
-    /// Each filed id's band keys, in band order — what unfiling it on
-    /// erase or replace needs.
-    std::unordered_map<uint64_t, std::vector<uint64_t>> keys_of
-        IPS_GUARDED_BY(mu);
+    /// The store view `buckets` were built from; null before the first
+    /// catch-up.
+    ShardViewPtr built IPS_GUARDED_BY(mu);
     /// Band key → ids filed under it (across all bands; keys are salted
     /// per band, so cross-band collisions are as unlikely as any other).
     std::unordered_map<uint64_t, std::vector<uint64_t>> buckets
@@ -129,14 +130,19 @@ class BandedIndex final : public SketchStore::Listener {
 
   BandedIndex(SketchStore* store, const BandedLshParams& params);
 
-  /// Unfiles `id` from `shard`. Returns false if the id was not filed.
-  static bool RemoveLocked(Shard& shard, uint64_t id) IPS_REQUIRES(shard.mu);
+  /// The b band keys of `sketch` under `family`'s collision codes.
+  Status BandKeys(const SketchFamily& family, const AnySketch& sketch,
+                  std::vector<uint64_t>* keys) const;
+
+  /// Pins the store's current view of `shard_index` and brings
+  /// `shard.buckets` up to it; returns the view.
+  ShardViewPtr CatchUpLocked(Shard& shard, size_t shard_index) const
+      IPS_REQUIRES(shard.mu);
 
   SketchStore* store_;
   BandedLshParams params_;
   std::vector<std::unique_ptr<Shard>> shards_;
   uint64_t key_seed_ = 0;
-  bool attached_ = false;
 
   // Process-wide index metrics (registry-owned).
   metrics::Counter* inserts_ = nullptr;

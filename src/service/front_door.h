@@ -26,7 +26,10 @@
 // Locking (common/mutex.h): the admission queue is guarded by a
 // kFrontDoorQueue Mutex held only for push/pop and dispatch bookkeeping.
 // Batch execution, completion callbacks, and future notification all run
-// with the queue lock released; future states use a kLeaf Mutex. User
+// with the queue lock released; future states use a kLeaf Mutex. Batches
+// take only index shard locks (kIndexShard) and view mutexes (kLeaf), never
+// a store shard lock, so inline (null-pool) reads complete even when the
+// submitter holds a kStoreShard-ranked lock. User
 // callbacks run on a pool worker (or, for shed requests, the submitting
 // thread) — they must be fast and must not block.
 

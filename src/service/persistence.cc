@@ -278,29 +278,32 @@ Status SaveSketchStore(const SketchStore& store, const std::string& path) {
     return Status::Internal("cannot open " + tmp + " for writing: " +
                             std::strerror(errno));
   }
+  // Each failure names the call that failed and the OS's reason; read
+  // errno right after that call.
+  auto os_error = [](const std::string& call) {
+    return Status::Internal(call + " failed: " + std::strerror(errno));
+  };
   size_t written = 0;
-  const Status wrote = EncodeInPieces(store, [&](std::string_view piece) {
+  Status st = EncodeInPieces(store, [&](std::string_view piece) {
     while (!piece.empty()) {
       const ssize_t n = ::write(fd, piece.data(), piece.size());
       if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return Status::Internal("short write to " + tmp);
+      if (n < 0) return os_error("write to " + tmp);
+      if (n == 0) return Status::Internal("write to " + tmp + " wrote 0 bytes");
       piece.remove_prefix(static_cast<size_t>(n));
       written += static_cast<size_t>(n);
     }
     return Status::Ok();
   });
   BytesWrittenCounter().Add(static_cast<uint64_t>(written));
-  const bool synced = wrote.ok() && ::fsync(fd) == 0;
-  const bool closed = ::close(fd) == 0;
-  if (!synced || !closed) {
-    ::unlink(tmp.c_str());
-    return Status::Internal("short write to " + tmp);
+  if (st.ok() && ::fsync(fd) != 0) st = os_error("fsync of " + tmp);
+  if (::close(fd) != 0 && st.ok()) st = os_error("close of " + tmp);
+  if (st.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
+    st = os_error("rename of " + tmp + " to " + path);
   }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string reason = std::strerror(errno);
+  if (!st.ok()) {
     ::unlink(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " to " + path + ": " +
-                            reason);
+    return st;
   }
   // The rename lives in the directory entry: sync the directory too, or a
   // crash could still resurrect the old file.
@@ -309,9 +312,11 @@ Status SaveSketchStore(const SketchStore& store, const std::string& path) {
                           : slash == 0               ? "/"
                                                      : path.substr(0, slash);
   const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dir_fd < 0 || ::fsync(dir_fd) != 0) {
-    if (dir_fd >= 0) ::close(dir_fd);
-    return Status::Internal("cannot sync directory " + dir);
+  if (dir_fd < 0) return os_error("open of directory " + dir);
+  if (::fsync(dir_fd) != 0) {
+    st = os_error("fsync of directory " + dir);
+    ::close(dir_fd);
+    return st;
   }
   ::close(dir_fd);
   return Status::Ok();

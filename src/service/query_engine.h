@@ -12,12 +12,13 @@
 //
 // Locking contract (see common/mutex.h): the engine itself is stateless —
 // it owns no mutex and never takes a store shard mutex. Banded probes take
-// one index shard Mutex (kIndexShard) at a time and release it before
-// pinning the store view (the view's kLeaf mutex) they re-rank against;
-// the short-lived kLeaf error-slot Mutex local to each query is taken with
-// nothing else held. So engine queries can never take part in a lock-order
-// cycle with ingest or index maintenance — and every exact read may run
-// even under a store shard lock (e.g. inside a listener callback).
+// one index shard Mutex (kIndexShard) at a time, pin the store view they
+// catch up to and re-rank against under it (the view's kLeaf mutex), and
+// release it before re-ranking; the short-lived kLeaf error-slot Mutex
+// local to each query is taken with nothing else held. So engine queries
+// can never take part in a lock-order cycle with ingest — and every read,
+// exact or banded, may run while the caller holds a store-shard-ranked
+// lock.
 
 #ifndef IPSKETCH_SERVICE_QUERY_ENGINE_H_
 #define IPSKETCH_SERVICE_QUERY_ENGINE_H_

@@ -76,12 +76,6 @@ SketchStore& SketchStore::operator=(SketchStore&& other) noexcept {
     ingest_ns_ = other.ingest_ns_;
     size_gauge_ = other.size_gauge_;
     shard_occupancy_ = std::move(other.shard_occupancy_);
-    // The header contract forbids moving while a listener is attached (the
-    // listener points at the old store object); transfer anyway so the
-    // fields stay coherent.
-    listener_mu_ = std::move(other.listener_mu_);
-    listener_ = other.listener_;
-    other.listener_ = nullptr;
   }
   return *this;
 }
@@ -185,7 +179,7 @@ void SketchStore::PublishFresh(std::vector<SharedEntry> entries) {
     Shard& shard = *shards_[s];
     {
       MutexLock lock(&shard.mu);
-      IPS_CHECK(shard.version == 0 && shard.listener == nullptr);
+      IPS_CHECK(shard.version == 0);
       next->epoch = ++shard.version;
       Publish(shard, std::move(next));
     }
@@ -228,9 +222,7 @@ Status SketchStore::Insert(uint64_t id, std::unique_ptr<AnySketch> sketch) {
   bool is_new = false;
   {
     MutexLock lock(&shard.mu);
-    std::shared_ptr<const AnySketch> shared = std::move(sketch);
-    is_new = PublishInsertLocked(shard, id, shared);
-    if (shard.listener != nullptr) shard.listener->OnInsert(id, *shared);
+    is_new = PublishInsertLocked(shard, id, std::move(sketch));
   }
   inserts_->Add(1);
   if (is_new) {
@@ -331,49 +323,11 @@ Status SketchStore::Erase(uint64_t id) {
       return Status::NotFound("no sketch stored under id " +
                               std::to_string(id));
     }
-    if (shard.listener != nullptr) shard.listener->OnErase(id);
     PublishEraseLocked(shard, id);
   }
   erases_->Add(1);
   size_gauge_->Add(-1);
   shard_occupancy_[shard_index]->Add(-1);
-  return Status::Ok();
-}
-
-Status SketchStore::AttachListener(Listener* listener) {
-  if (listener == nullptr) {
-    return Status::InvalidArgument("cannot attach a null listener");
-  }
-  MutexLock attach_lock(&*listener_mu_);
-  if (listener_ != nullptr) {
-    return Status::FailedPrecondition(
-        "a mutation listener is already attached");
-  }
-  listener_ = listener;
-  // Publish + replay shard by shard under one lock hold each: once a
-  // shard's mirror is set, every later mutation of that shard notifies, and
-  // everything already resident is replayed now — exactly-once per entry.
-  for (auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    shard->listener = listener;
-    const ShardViewPtr view = Pin(*shard);
-    for (size_t i = 0; i < view->ids.size(); ++i) {
-      listener->OnInsert(view->ids[i], *view->sketches[i]);
-    }
-  }
-  return Status::Ok();
-}
-
-Status SketchStore::DetachListener(Listener* listener) {
-  MutexLock attach_lock(&*listener_mu_);
-  if (listener == nullptr || listener_ != listener) {
-    return Status::InvalidArgument("listener is not the attached one");
-  }
-  for (auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    shard->listener = nullptr;
-  }
-  listener_ = nullptr;
   return Status::Ok();
 }
 
@@ -446,16 +400,6 @@ Status SketchStore::CompactifyInPlace(
         "CompactifyInPlace requires a full-precision 'wmh' store; this "
         "store holds '" +
         family_->name() + "'");
-  }
-  {
-    // A listener mirrors the current family's sketches; swapping the family
-    // identity under it would corrupt the mirror. Detach first.
-    MutexLock attach_lock(&*listener_mu_);
-    if (listener_ != nullptr) {
-      return Status::FailedPrecondition(
-          "CompactifyInPlace cannot run while a mutation listener is "
-          "attached; detach it first");
-    }
   }
   // The target inherits this store's fully resolved sketch options (seed,
   // L, engine, ...) so the quantized sketches land on the same identity.

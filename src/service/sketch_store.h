@@ -96,21 +96,6 @@ using ShardViewPtr = std::shared_ptr<const ShardView>;
 /// The sharded concurrent map. All public methods are thread-safe.
 class SketchStore {
  public:
-  /// Receives synchronous mutation notifications (see AttachListener). Both
-  /// callbacks run *under the shard lock* of the mutated id's shard, so a
-  /// listener observing one shard's stream sees its mutations in order and
-  /// can mirror the shard consistently. Callbacks must be fast and must
-  /// never mutate the store (the lock is held — deadlock); reads take no
-  /// shard lock and are safe. OnInsert already sees the new entry.
-  class Listener {
-   public:
-    virtual ~Listener() = default;
-    /// After `sketch` was stored (insert or replace) under `id`.
-    virtual void OnInsert(uint64_t id, const AnySketch& sketch) = 0;
-    /// Before `id` is removed.
-    virtual void OnErase(uint64_t id) = 0;
-  };
-
   /// Builds the family from the registry (resolving option defaults) and an
   /// empty store around it.
   static Result<SketchStore> Make(const SketchStoreOptions& options);
@@ -118,12 +103,8 @@ class SketchStore {
   SketchStore(SketchStore&&) = default;
   /// Move assignment first retires the target's sketches from the
   /// occupancy gauges (they are being destroyed), then adopts the source's.
-  /// Analysis escape: a move requires external exclusivity over both stores
-  /// (the header forbids moving with a listener attached or any concurrent
-  /// user), so the listener fields are transferred without their mutex —
-  /// which is itself being transferred.
-  SketchStore& operator=(SketchStore&& other) noexcept
-      IPS_NO_THREAD_SAFETY_ANALYSIS;
+  /// Requires external exclusivity over both stores.
+  SketchStore& operator=(SketchStore&& other) noexcept;
 
   /// Subtracts this store's sketches from the process-wide size/occupancy
   /// gauges (a moved-from store holds none and subtracts nothing).
@@ -169,19 +150,6 @@ class SketchStore {
   /// Removes `id`. NotFound if absent.
   Status Erase(uint64_t id);
 
-  /// Attaches the single mutation listener and replays every resident entry
-  /// through OnInsert (shard by shard, under each shard's lock). Each entry
-  /// is delivered exactly once: the listener pointer is published under the
-  /// same shard-lock hold that replays the shard, so an entry is either
-  /// replayed then or notifies on a later mutation, never both.
-  /// FailedPrecondition if a listener is already attached. Detach before
-  /// destroying either side; the store must not be moved from or
-  /// compactified while a listener is attached.
-  Status AttachListener(Listener* listener);
-
-  /// Detaches `listener`. InvalidArgument if it is not the attached one.
-  Status DetachListener(Listener* listener);
-
   /// Pins the currently published view of one shard: one pointer copy
   /// under the shard's leaf view mutex, no shard-mutex acquisition, never
   /// null. The view is immutable and sorted by id; holding the pointer
@@ -223,7 +191,9 @@ class SketchStore {
   ///
   /// One-shot and NOT concurrency-safe: the family identity swaps at the
   /// end, so callers must quiesce all readers and writers for the duration
-  /// (the intended shape is load → compactify → serve). All-or-nothing: on
+  /// (the intended shape is load → compactify → serve). An attached
+  /// BandedIndex re-files each shard under the new family on its next
+  /// probe. All-or-nothing: on
   /// any error the store is left unchanged. FailedPrecondition if the store
   /// does not hold full-precision "wmh" sketches; InvalidArgument for a
   /// non-quantized target family or bad params.
@@ -233,11 +203,8 @@ class SketchStore {
 
  private:
   struct Shard {
-    /// Serializes writers (and listener attach); readers never take it.
+    /// Serializes writers; readers never take it.
     mutable Mutex mu{LockRank::kStoreShard};
-    /// Mirror of the store-level listener, guarded by `mu` so mutation
-    /// paths need no second lock to find it.
-    Listener* listener IPS_GUARDED_BY(mu) = nullptr;
     /// Publication count — the epoch stamped into the next view.
     uint64_t version IPS_GUARDED_BY(mu) = 0;
     /// Guards only the copy or swap of `view`, never the (immutable) view
@@ -270,8 +237,8 @@ class SketchStore {
   /// same id): one sort and one epoch-1 view per non-empty shard, so a
   /// whole catalog loads in O(n log n) instead of one view copy per
   /// entry. Every sketch must already have passed CheckCompatible. Dies
-  /// unless the store is still empty and has no listener attached. Used by
-  /// the two builders of whole stores below.
+  /// unless the store has never published. Used by the two builders of
+  /// whole stores below.
   void PublishFresh(std::vector<SharedEntry> entries);
   friend Result<SketchStore> DecodeSketchStore(std::string_view bytes);
   friend Result<SketchStore> QuantizeStore(
@@ -297,14 +264,6 @@ class SketchStore {
   std::shared_ptr<const SketchFamily> family_;
   // unique_ptrs because Shard (mutex) is immovable but the store is not.
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Serializes attach/detach (and the compactify guard); unique_ptr because
-  // the store is movable (Mutex is not). The per-shard mirrors are what
-  // mutations read. kListenerRegistry: AttachListener holds it *across* the
-  // per-shard replay, so it must rank below every shard lock.
-  std::unique_ptr<Mutex> listener_mu_ =
-      std::make_unique<Mutex>(LockRank::kListenerRegistry);
-  Listener* listener_ IPS_GUARDED_BY(*listener_mu_) = nullptr;
-
   // Process-wide store metrics (all SketchStore instances aggregate;
   // gauges track live totals via paired +/- updates). Registry-owned.
   metrics::Counter* inserts_ = nullptr;

@@ -1,5 +1,6 @@
-// BandedIndex + index-aware QueryEngine: listener attach/replay coherence
-// under insert/erase/replace, banded top-k against the exact scan (banded
+// BandedIndex + index-aware QueryEngine: view catch-up coherence under
+// insert/erase/replace, compactify, store move-assignment and several
+// indexes over one store, banded top-k against the exact scan (banded
 // must find planted neighbors, and for every banding family its hits are a
 // bit-equal, same-order subset of the exact ranking), per-family LSH codes,
 // TopK edge cases on both paths, deterministic tie-breaks, null-index
@@ -62,6 +63,42 @@ SketchStore MakeFilledStore(size_t count, uint64_t seed_base = 100) {
 
 uint64_t CounterValue(const std::string& name) {
   return metrics::MetricsRegistry::Global().GetCounter(name, "").Value();
+}
+
+// Same ids, same order, same estimate bits.
+void ExpectBitEqual(const std::vector<QueryHit>& got,
+                    const std::vector<QueryHit>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "rank " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i].estimate),
+              std::bit_cast<uint64_t>(want[i].estimate))
+        << "rank " << i;
+  }
+}
+
+// `index` has caught up with `store` exactly: it holds as many ids, and its
+// banded answers match, bit for bit, those of an index freshly attached
+// with the same (b, r).
+void ExpectMatchesFreshIndex(SketchStore* store, const BandedIndex& index,
+                             uint64_t query_seed) {
+  EXPECT_EQ(index.size(), store->size());
+  auto fresh = BandedIndex::MakeAttached(store, index.params());
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  QueryEngine served(store, nullptr, &index, IndexPolicy::kBandedRerank);
+  QueryEngine rebuilt(store, nullptr, fresh.value().get(),
+                      IndexPolicy::kBandedRerank);
+  for (uint64_t q = 0; q < 8; ++q) {
+    // Even queries come from the caller's seeds (usually twins of vectors
+    // it stored), odd ones from MakeFilledStore's default seeds.
+    const SparseVector query =
+        RandomVector(q % 2 == 0 ? query_seed + q : 100 + q);
+    auto got = served.TopK(query, 10);
+    auto want = rebuilt.TopK(query, 10);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ExpectBitEqual(got.value(), want.value());
+  }
 }
 
 TEST(BandedLshParamsTest, ValidateEnforcesTheBandsTimesRowsBudget) {
@@ -251,27 +288,62 @@ TEST(BandedIndexTest, MakeAttachedRejectsNonBandingFamilies) {
 
 TEST(BandedIndexTest, AttachReplaysResidentSketchesExactlyOnce) {
   SketchStore store = MakeFilledStore(37);
+  metrics::SetEnabledForTesting(true);
+  const uint64_t filed_before = CounterValue("ipsketch_index_inserts_total");
   auto index = BandedIndex::MakeAttached(&store, {16, 4});
   ASSERT_TRUE(index.ok()) << index.status().ToString();
+  if (metrics::kCompiledIn) {
+    // Attach files every shard itself; no query is needed to build it.
+    EXPECT_EQ(CounterValue("ipsketch_index_inserts_total") - filed_before,
+              37u);
+  }
   EXPECT_EQ(index.value()->size(), store.size());
   EXPECT_EQ(index.value()->size(), 37u);
 }
 
-TEST(BandedIndexTest, OnlyOneListenerMayAttach) {
-  SketchStore store = MakeFilledStore(5);
-  auto made = BandedIndex::MakeAttached(&store, {16, 4});
-  ASSERT_TRUE(made.ok());
-  std::unique_ptr<BandedIndex> first = std::move(made).value();
-  auto second = BandedIndex::MakeAttached(&store, {8, 8});
-  EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
-  // Compactify must refuse too: it would swap the family out from under
-  // the attached mirror.
-  EXPECT_EQ(store.CompactifyInPlace("wmh_compact").code(),
-            StatusCode::kFailedPrecondition);
-  // Destroying the index detaches; the slot frees up.
-  first.reset();
-  auto third = BandedIndex::MakeAttached(&store, {8, 8});
-  EXPECT_TRUE(third.ok());
+TEST(BandedIndexTest, IndexesWithDifferentBandingShareOneStore) {
+  SketchStore store = MakeFilledStore(40);
+  auto narrow = BandedIndex::MakeAttached(&store, {16, 4});
+  auto wide = BandedIndex::MakeAttached(&store, {8, 8});
+  ASSERT_TRUE(narrow.ok()) << narrow.status().ToString();
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  std::unique_ptr<BandedIndex> dropped = std::move(narrow).value();
+  for (uint64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(store.BuildAndInsert(100 + i, RandomVector(700 + i)).ok());
+  }
+  ASSERT_TRUE(store.BuildAndInsert(3, RandomVector(800)).ok());  // replace
+  ASSERT_TRUE(store.Erase(5).ok());
+  ASSERT_TRUE(store.Erase(101).ok());
+  // Seed 800 queries the replacement's twin.
+  ExpectMatchesFreshIndex(&store, *dropped, 800);
+  ExpectMatchesFreshIndex(&store, *wide.value(), 800);
+  // Dropping one index leaves the other serving.
+  dropped.reset();
+  ASSERT_TRUE(store.BuildAndInsert(200, RandomVector(900)).ok());
+  ExpectMatchesFreshIndex(&store, *wide.value(), 900);
+}
+
+TEST(BandedIndexTest, CompactifyWhileIndexedRefilesUnderTheNewFamily) {
+  SketchStore store = MakeFilledStore(40);
+  auto index = BandedIndex::MakeAttached(&store, {16, 4});
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ASSERT_TRUE(store.CompactifyInPlace("wmh_compact").ok());
+  ASSERT_EQ(store.family().name(), "wmh_compact");
+  ExpectMatchesFreshIndex(&store, *index.value(), 100);
+  // Later writes keep flowing into the re-filed shards.
+  ASSERT_TRUE(store.Erase(1).ok());
+  ASSERT_TRUE(store.BuildAndInsert(50, RandomVector(600)).ok());
+  ExpectMatchesFreshIndex(&store, *index.value(), 600);
+}
+
+TEST(BandedIndexTest, StoreMoveAssignedUnderTheIndexIsRefiled) {
+  SketchStore store = MakeFilledStore(30);
+  auto index = BandedIndex::MakeAttached(&store, {16, 4});
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  // Same ids, so every shard's view carries the same epoch as before: only
+  // the view pointers tell the index that the contents changed.
+  store = MakeFilledStore(30, /*seed_base=*/400);
+  ExpectMatchesFreshIndex(&store, *index.value(), 400);
 }
 
 TEST(BandedIndexTest, IndexTracksInsertEraseAndReplace) {
@@ -477,8 +549,9 @@ TEST(BandedIndexTest, ProbeRecallIsBoundedAndPerfectOnSelfQueries) {
   EXPECT_EQ(empty_recall.value(), 1.0);
 }
 
-// TSAN coverage: writers mutating the store (and, through the listener, the
-// index) while readers run banded queries concurrently.
+// TSAN coverage: writers insert, replace and erase while banded probers
+// catch the index up and query concurrently. Once the writers stop, the
+// served index must answer exactly as a freshly attached one does.
 TEST(BandedIndexTest, ConcurrentInsertEraseAndQueryStress) {
   SketchStore store = MakeFilledStore(32);
   auto index = BandedIndex::MakeAttached(&store, {16, 4});
@@ -506,9 +579,19 @@ TEST(BandedIndexTest, ConcurrentInsertEraseAndQueryStress) {
       ASSERT_TRUE(hits.ok());
     }
   });
+  std::thread serial_prober([&] {
+    QueryEngine serial(&store, nullptr, index.value().get(),
+                       IndexPolicy::kBandedRerank);
+    for (size_t i = 0; i < 40; ++i) {
+      auto hits = serial.TopK(RandomVector(8500 + i), 5);
+      ASSERT_TRUE(hits.ok());
+      EXPECT_LE(index.value()->size(), 32 + kOps);
+    }
+  });
   writer.join();
   eraser.join();
   banded_reader.join();
+  serial_prober.join();
 
   // Quiesced: the index mirrors the store exactly — same resident count,
   // and every banded hit carries the exact scan's estimate bit for bit.
@@ -527,6 +610,7 @@ TEST(BandedIndexTest, ConcurrentInsertEraseAndQueryStress) {
     EXPECT_EQ(std::bit_cast<uint64_t>(it->estimate),
               std::bit_cast<uint64_t>(hit.estimate));
   }
+  ExpectMatchesFreshIndex(&store, *index.value(), 7000);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the debug LockRank layer in common/mutex.h: ordered
 // acquisition passes, inversion and same-rank nesting abort, and the real
-// store → index mirror chain (the deepest sanctioned order in the service)
-// runs clean. The death tests only exist where the checker is compiled in —
+// chains (store writer kStoreShard → kLeaf, index catch-up kIndexShard →
+// kLeaf — the deepest sanctioned orders in the service) run clean. The death tests only exist where the checker is compiled in —
 // under NDEBUG (Release, the TSAN job's RelWithDebInfo) they skip.
 
 #include "common/mutex.h"
@@ -21,14 +21,14 @@ namespace {
 using lock_rank_internal::HeldDepthForTesting;
 
 TEST(LockRankTest, IncreasingChainPasses) {
-  Mutex registry(LockRank::kListenerRegistry);
   Mutex store_shard(LockRank::kStoreShard);
   Mutex index_shard(LockRank::kIndexShard);
+  Mutex queue(LockRank::kFrontDoorQueue);
   Mutex leaf(LockRank::kLeaf);
   {
-    MutexLock a(&registry);
-    MutexLock b(&store_shard);
-    MutexLock c(&index_shard);
+    MutexLock a(&store_shard);
+    MutexLock b(&index_shard);
+    MutexLock c(&queue);
     MutexLock d(&leaf);
     if (kLockRankCheckEnabled) {
       EXPECT_EQ(HeldDepthForTesting(), 4u);
@@ -51,7 +51,7 @@ TEST(LockRankDeathTest, InversionAborts) {
     GTEST_SKIP() << "lock-rank checker compiled out under NDEBUG";
   }
   // The forbidden order: an index shard lock held while acquiring a store
-  // shard lock — the mirror protocol's deadlock shape.
+  // shard lock. No path takes it; the checker must still refuse it.
   Mutex index_shard(LockRank::kIndexShard);
   Mutex store_shard(LockRank::kStoreShard);
   MutexLock outer(&index_shard);
@@ -107,12 +107,12 @@ SketchStoreOptions SmallStoreOptions() {
   return opts;
 }
 
-TEST(LockRankTest, StoreToIndexMirrorChainPasses) {
-  // The real deepest chain: AttachListener holds the listener registry
-  // across each shard's replay (kListenerRegistry → kStoreShard →
-  // kIndexShard), and every later mutation notifies the index under the
-  // store shard lock (kStoreShard → kIndexShard). Under the debug checker
-  // this test is the positive proof those orders are sanctioned.
+TEST(LockRankTest, StoreWriteAndIndexCatchUpChainsPass) {
+  // The real deepest chains: every write publishes its shard's view under
+  // the store shard lock (kStoreShard → kLeaf), and every index probe pins
+  // the view it catches up to under the index shard lock (kIndexShard →
+  // kLeaf). Under the debug checker this test is the positive proof those
+  // orders are sanctioned — and that no path nests the two shard ranks.
   auto store = SketchStore::Make(SmallStoreOptions()).value();
   for (uint64_t i = 0; i < 16; ++i) {
     ASSERT_TRUE(store.BuildAndInsert(i, TestVector(i)).ok());
@@ -120,11 +120,11 @@ TEST(LockRankTest, StoreToIndexMirrorChainPasses) {
   BandedLshParams params;
   params.bands = 16;
   params.rows = 4;
-  // Attach replays 16 resident entries through the full chain.
+  // Attach catches every shard up to its 16 resident entries.
   auto index = BandedIndex::MakeAttached(&store, params);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
-  EXPECT_EQ(index.value()->size(), 16u);
-  // Mirrored insert, replace, and erase all run store-shard → index-shard.
+  // Insert, replace, and erase publish under the store shard lock alone;
+  // size() then catches the index up under its own shard locks.
   ASSERT_TRUE(store.BuildAndInsert(100, TestVector(100)).ok());
   ASSERT_TRUE(store.BuildAndInsert(100, TestVector(101)).ok());
   ASSERT_TRUE(store.Erase(3).ok());

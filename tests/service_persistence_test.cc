@@ -1,6 +1,12 @@
 #include "service/persistence.h"
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -529,6 +535,101 @@ TEST(StorePersistenceTest, FailedSaveLeavesThePreviousFileIntact) {
   ASSERT_TRUE(SaveSketchStore(second, path).ok());
   auto replaced = LoadSketchStore(path);
   ASSERT_TRUE(replaced.ok());
+  EXPECT_EQ(EncodeSketchStore(replaced.value()), EncodeSketchStore(second));
+  std::remove(path.c_str());
+}
+
+// Lowers this process's file-size limit with SIGXFSZ ignored, so a write
+// past the limit fails with EFBIG instead of killing the process; the
+// destructor restores both.
+class FileSizeLimit {
+ public:
+  FileSizeLimit() {
+    IPS_CHECK(::getrlimit(RLIMIT_FSIZE, &saved_) == 0);
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+  }
+  ~FileSizeLimit() {
+    IPS_CHECK(::setrlimit(RLIMIT_FSIZE, &saved_) == 0);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+  bool Set(size_t bytes) {
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(bytes);
+    return ::setrlimit(RLIMIT_FSIZE, &lowered) == 0;
+  }
+
+ private:
+  rlimit saved_{};
+  void (*saved_handler_)(int) = SIG_DFL;
+};
+
+// Fault injection through the kernel, not a writer seam: with the file-size
+// limit at every byte offset of the new encoding, the save must fail naming
+// the cause, leave no temp file, and leave the previous file loading and
+// re-encoding byte-identically. Failures are collected and reported after
+// the limit is lifted, so a failure report never hits the limit itself.
+TEST(StorePersistenceTest, SaveCutAtEveryByteKeepsThePreviousFile) {
+  const std::string path = TempPath("store_fsize.bin");
+  const std::string tmp = path + ".tmp";
+  const auto first = MakePopulatedStore(2);
+  const auto second = MakePopulatedStore(3);
+  ASSERT_TRUE(SaveSketchStore(first, path).ok());
+  const std::string first_bytes = EncodeSketchStore(first);
+  const size_t new_size = EncodeSketchStore(second).size();
+
+  ssize_t crossing = 0;
+  ssize_t past = 0;
+  int past_errno = 0;
+  std::string first_failure;
+  {
+    FileSizeLimit limit;
+    // The mechanism: a write crossing the limit is cut to a short count,
+    // and the next one fails with EFBIG.
+    const std::string probe = TempPath("fsize_probe.bin");
+    ASSERT_TRUE(limit.Set(8));
+    const int fd = ::open(probe.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    ASSERT_GE(fd, 0);
+    const char buf[16] = {};
+    crossing = ::write(fd, buf, sizeof(buf));
+    past = ::write(fd, buf, sizeof(buf));
+    past_errno = errno;
+    ::close(fd);
+    ::unlink(probe.c_str());
+
+    for (size_t cut = 0; cut < new_size && first_failure.empty(); ++cut) {
+      const std::string at = "limit " + std::to_string(cut) + ": ";
+      if (!limit.Set(cut)) {
+        first_failure = at + "setrlimit failed";
+        break;
+      }
+      const Status st = SaveSketchStore(second, path);
+      auto reloaded = LoadSketchStore(path);
+      if (st.ok()) {
+        first_failure = at + "save succeeded";
+      } else if (st.message().find("File too large") == std::string::npos) {
+        first_failure = at + "cause not named: " + st.ToString();
+      } else if (std::filesystem::exists(tmp)) {
+        first_failure = at + "temp file left behind";
+      } else if (!reloaded.ok()) {
+        first_failure = at + "previous file unreadable: " +
+                        reloaded.status().ToString();
+      } else if (EncodeSketchStore(reloaded.value()) != first_bytes) {
+        first_failure = at + "previous file changed";
+      }
+    }
+  }
+  EXPECT_EQ(crossing, 8);
+  EXPECT_EQ(past, -1);
+  EXPECT_EQ(past_errno, EFBIG);
+  EXPECT_EQ(first_failure, "");
+
+  // With the limit lifted the same save goes through.
+  ASSERT_TRUE(SaveSketchStore(second, path).ok());
+  auto replaced = LoadSketchStore(path);
+  ASSERT_TRUE(replaced.ok()) << replaced.status().ToString();
   EXPECT_EQ(EncodeSketchStore(replaced.value()), EncodeSketchStore(second));
   std::remove(path.c_str());
 }

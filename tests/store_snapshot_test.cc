@@ -1,7 +1,8 @@
 // Epoch-snapshot read path of SketchStore (PinShard / ShardView) and the
 // batch top-k API that rides on it: copy-on-write publication semantics,
-// RCU liveness of pinned views, reads that take no shard mutex (even from
-// inside a listener callback), and coherence across CompactifyInPlace.
+// RCU liveness of pinned views, reads that take no shard mutex (even under
+// a held lock of the store shards' rank), and coherence across
+// CompactifyInPlace.
 
 #include <atomic>
 #include <cmath>
@@ -13,6 +14,7 @@
 
 #include "common/rng.h"
 #include "data/synthetic.h"
+#include "index/banded_index.h"
 #include "service/query_engine.h"
 #include "service/sketch_store.h"
 
@@ -131,53 +133,41 @@ TEST(StoreSnapshotTest, PinnedViewKeepsSketchesAliveAcrossMutations) {
   EXPECT_TRUE(std::isfinite(est.value()));  // ...but the pin still serves
 }
 
-// Every store read pins a view and takes no shard mutex, so reads run even
-// from inside a Listener callback, which holds the mutated id's kStoreShard
-// mutex: a read that took a shard mutex would abort under the debug rank
-// checker (same-rank re-entry) or self-deadlock in release builds.
-class ReadingListener : public SketchStore::Listener {
- public:
-  ReadingListener(const SketchStore* store, const QueryEngine* engine)
-      : store_(store), engine_(engine) {}
-
-  void OnInsert(uint64_t id, const AnySketch& /*sketch*/) override {
-    ++calls_;
-    // The entry being inserted is already visible to readers.
-    EXPECT_TRUE(store_->Contains(id));
-    EXPECT_TRUE(store_->Lookup(id).ok());
-    EXPECT_GE(store_->size(), 1u);
-    EXPECT_TRUE(engine_->EstimateInnerProduct(id, id).ok());
-    auto hits = engine_->TopK(RandomVector(31), 3);
-    ASSERT_TRUE(hits.ok());
-    EXPECT_FALSE(hits.value().empty());
-  }
-  void OnErase(uint64_t id) override {
-    ++calls_;
-    EXPECT_TRUE(store_->Contains(id));  // "before id is removed"
-  }
-
-  int calls() const { return calls_; }
-
- private:
-  const SketchStore* store_;
-  const QueryEngine* engine_;
-  int calls_ = 0;
-};
-
-TEST(StoreSnapshotTest, ReadsInsideListenerCallbackTakeNoShardMutex) {
+// Every store and engine read pins a view and takes no shard mutex. The
+// test holds a Mutex of the store shards' rank while it reads, exact and
+// banded: under the debug rank checker a read that took a store shard
+// mutex would abort (same-rank nesting).
+TEST(StoreSnapshotTest, ReadsUnderAHeldStoreShardRankTakeNoShardMutex) {
   SketchStore store = MakeStoreOrDie(SmallStoreOptions());
   for (uint64_t id = 0; id < 8; ++id) {
     ASSERT_TRUE(store.BuildAndInsert(id, RandomVector(id)).ok());
   }
-  const QueryEngine engine(&store);  // exact scan, serial
-  ReadingListener listener(&store, &engine);
-  // Attach replays the 8 resident entries under each shard's lock.
-  ASSERT_TRUE(store.AttachListener(&listener).ok());
+  auto index = BandedIndex::MakeAttached(&store, {/*bands=*/16, /*rows=*/4});
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const QueryEngine exact(&store);  // exact scan, serial
+  const QueryEngine banded(&store, nullptr, index.value().get(),
+                           IndexPolicy::kBandedRerank);
+  // Writes the index has not caught up with yet.
   ASSERT_TRUE(store.BuildAndInsert(100, RandomVector(100)).ok());
   ASSERT_TRUE(store.BuildAndInsert(3, RandomVector(103)).ok());  // replace
   ASSERT_TRUE(store.Erase(5).ok());
-  ASSERT_TRUE(store.DetachListener(&listener).ok());
-  EXPECT_EQ(listener.calls(), 11);
+
+  Mutex held(LockRank::kStoreShard);
+  MutexLock lock(&held);
+  EXPECT_TRUE(store.Contains(100));
+  EXPECT_FALSE(store.Contains(5));
+  EXPECT_TRUE(store.Lookup(3).ok());
+  EXPECT_EQ(store.size(), 8u);
+  EXPECT_EQ(store.Ids().size(), 8u);
+  EXPECT_EQ(store.Snapshot().size(), 8u);
+  EXPECT_TRUE(exact.EstimateInnerProduct(3, 100).ok());
+  EXPECT_EQ(index.value()->size(), 8u);
+  for (const QueryEngine* engine : {&exact, &banded}) {
+    auto hits = engine->TopK(RandomVector(103), 3);
+    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+    ASSERT_FALSE(hits.value().empty());
+    EXPECT_EQ(hits.value()[0].id, 3u);
+  }
 }
 
 TEST(StoreSnapshotTest, CompactifyRepublishesCoherentViews) {

@@ -35,10 +35,13 @@ point-wise but a static scan can prove tree-wide:
   docs-freshness Every ipsketch_* metric registered in src/ appears in
                  docs/OPERATIONS.md (the operator runbook), every backticked
                  ipsketch_* metric name in that runbook is registered in
-                 src/, and every SketchTypeTag enumerator appears in
-                 docs/WIRE_FORMAT.md (the normative wire spec) — the docs/
-                 tree cannot silently rot behind the code, nor keep rows
-                 for metrics the code no longer exports.
+                 src/, every SketchTypeTag enumerator appears in
+                 docs/WIRE_FORMAT.md (the normative wire spec), and the
+                 lock table in docs/ARCHITECTURE.md has exactly one row per
+                 LockRank enumerator of src/common/mutex.h, with its value
+                 — the docs/ tree cannot silently rot behind the code, nor
+                 keep rows for metrics or lock ranks the code no longer
+                 has.
 
 Exit status 0 iff the tree is clean; findings go to stdout, one per line,
 as `rule: file: message`.
@@ -65,6 +68,11 @@ FAMILY_TEST = "tests/family_registry_test.cc"
 README = "README.md"
 OPERATIONS_MD = "docs/OPERATIONS.md"
 WIRE_FORMAT_MD = "docs/WIRE_FORMAT.md"
+ARCHITECTURE_MD = "docs/ARCHITECTURE.md"
+MUTEX_H = "src/common/mutex.h"
+# A row of ARCHITECTURE.md's lock table: | rank | name | guards |.
+LOCK_TABLE_ROW = re.compile(r"^\|\s*(\d+)\s*\|\s*`?(\w+)`?\s*\|",
+                            re.MULTILINE)
 MUTEX_ALLOWED = {"src/common/mutex.h", "src/common/mutex.cc"}
 
 # family name -> the translation unit holding its kernel-backed estimator.
@@ -324,7 +332,7 @@ DOCUMENTED_METRIC = re.compile(r"`(ipsketch_[a-z0-9]+(?:_[a-z0-9]+)*)`")
 
 def check_docs_freshness(root: Path):
     findings = []
-    for rel in (OPERATIONS_MD, WIRE_FORMAT_MD):
+    for rel in (OPERATIONS_MD, WIRE_FORMAT_MD, ARCHITECTURE_MD):
         if not (root / rel).is_file():
             findings.append(
                 f"docs-freshness: {rel}: missing — the docs/ tree ships "
@@ -377,6 +385,43 @@ def check_docs_freshness(root: Path):
                 f"docs-freshness: {SERIALIZE_H}: wire tag {name} is not "
                 f"documented in {WIRE_FORMAT_MD} — the spec no longer "
                 "describes the format it claims to be normative for")
+    findings.extend(check_lock_table(root))
+    return findings
+
+
+def check_lock_table(root: Path):
+    """ARCHITECTURE.md's lock table lists exactly the live LockRanks."""
+    header = read(root, MUTEX_H)
+    enum_match = re.search(
+        r"enum\s+class\s+LockRank[^{]*\{(.*?)\};", header, re.DOTALL)
+    if enum_match is None:
+        return [f"docs-freshness: {MUTEX_H}: LockRank enum not found"]
+    ranks = {name: int(value) for name, value in
+             re.findall(r"(k\w+)\s*=\s*(\d+)", enum_match.group(1))}
+    doc = read(root, ARCHITECTURE_MD)
+    section = re.search(r"^## Lock-rank order\n(.*?)(?=^## |\Z)", doc,
+                        re.DOTALL | re.MULTILINE)
+    if section is None:
+        return [f"docs-freshness: {ARCHITECTURE_MD}: no '## Lock-rank "
+                "order' section"]
+    rows = {name: int(value) for value, name in
+            LOCK_TABLE_ROW.findall(section.group(1))}
+    findings = []
+    for name, value in sorted(ranks.items()):
+        if name not in rows:
+            findings.append(
+                f"docs-freshness: {MUTEX_H}: LockRank {name} has no row in "
+                f"{ARCHITECTURE_MD}'s lock table — the documented order "
+                "no longer covers every lock")
+        elif rows[name] != value:
+            findings.append(
+                f"docs-freshness: {ARCHITECTURE_MD}: lock table ranks "
+                f"{name} {rows[name]}, {MUTEX_H} ranks it {value}")
+    for name in sorted(set(rows) - set(ranks)):
+        findings.append(
+            f"docs-freshness: {ARCHITECTURE_MD}: lock table row {name} "
+            f"names no LockRank enumerator in {MUTEX_H} — a lock the code "
+            "no longer has")
     return findings
 
 
@@ -489,6 +534,28 @@ def seed_docs_wire_tag(root: Path):
     path.write_text(seeded, encoding="utf-8")
 
 
+def seed_docs_phantom_lock_rank(root: Path):
+    # A lock-table row for a rank the code deleted.
+    path = root / ARCHITECTURE_MD
+    text = path.read_text(encoding="utf-8")
+    row = next(line for line in text.splitlines()
+               if "| kStoreShard" in line)
+    seeded = text.replace(row, "|   10 | kPhantomRegistry | seeded |\n" + row,
+                          1)
+    assert seeded != text, "phantom lock-rank seed did not apply"
+    path.write_text(seeded, encoding="utf-8")
+
+
+def seed_docs_missing_lock_rank(root: Path):
+    # A live rank whose lock-table row was dropped.
+    path = root / ARCHITECTURE_MD
+    text = path.read_text(encoding="utf-8")
+    seeded = "\n".join(line for line in text.split("\n")
+                       if "| kPoolQueue" not in line)
+    assert seeded != text, "missing lock-rank seed did not apply"
+    path.write_text(seeded, encoding="utf-8")
+
+
 # rule -> (seed label, seed fn) pairs; each seed is planted in its own tree
 # copy and must be caught by its rule independently.
 SEEDS = {
@@ -507,6 +574,8 @@ SEEDS = {
         ("undocumented metric", seed_docs_metric),
         ("phantom documented metric", seed_docs_phantom_metric),
         ("undocumented wire tag", seed_docs_wire_tag),
+        ("phantom lock-table row", seed_docs_phantom_lock_rank),
+        ("missing lock-table row", seed_docs_missing_lock_rank),
     ],
 }
 
