@@ -45,9 +45,10 @@ enum class LockRank : int {
   /// SketchStore per-shard locks. Writers hold one while building and
   /// publishing the shard's successor view; reads never take one.
   kStoreShard = 20,
-  /// BandedIndex per-shard locks. A probe (or size()) holds one while it
-  /// pins the store's view (kLeaf) and catches the shard's buckets up to
-  /// it, then releases it before re-ranking. Ranked above kStoreShard so
+  /// BandedIndex per-shard locks. A probe holds one while it gathers ids
+  /// and, when the store's view has moved, while it pins that view (kLeaf)
+  /// and catches the shard's buckets up to it (size() always does); it is
+  /// released before re-ranking. Ranked above kStoreShard so
   /// every read may run while the caller holds a store-shard-ranked lock.
   kIndexShard = 30,
   /// FrontDoor's admission-queue lock (service/front_door.h). Held only

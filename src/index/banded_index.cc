@@ -196,11 +196,13 @@ Status BandedIndex::ProbeShard(const AnySketch& query,
   IPS_RETURN_IF_ERROR(store_->family().CheckCompatible(query));
   std::vector<uint64_t> candidates;
   uint64_t buckets_hit = 0;
-  ShardViewPtr view;
+  // Pinned before the index shard lock, so concurrent probes of a shard
+  // whose view has not moved hold that lock only to gather ids.
+  ShardViewPtr view = store_->PinShard(shard_index);
   {
     Shard& shard = *shards_[shard_index];
     MutexLock lock(&shard.mu);
-    view = CatchUpLocked(shard, shard_index);
+    if (view != shard.built) view = CatchUpLocked(shard, shard_index);
     for (uint64_t key : keys) {
       auto it = shard.buckets.find(key);
       if (it == shard.buckets.end()) continue;

@@ -14,19 +14,21 @@
 //
 // The index is derived from the store's published views, not fed by a
 // second write stream: each index shard remembers the ShardView its
-// buckets were built from. A probe (and size()) locks the index shard, pins
-// the store's current view of it, and — if that is a different view —
-// catches up by walking the two sorted views together: new ids are filed,
-// erased ids unfiled, and a replaced id (same id, different sketch) is
-// unfiled under the keys recomputed from the old view's sketch, which the
-// built view still holds. A view whose family changed (CompactifyInPlace,
+// buckets were built from. A probe pins the store's current view of it,
+// then locks the index shard; if the pinned view is not the built one, it
+// (like size(), always) pins again under that lock and catches up by
+// walking the two sorted views together: new ids are filed, erased ids
+// unfiled, and a replaced id (same id, different sketch) is unfiled under
+// the keys recomputed from the old view's sketch, which the built view
+// still holds. A view whose family changed (CompactifyInPlace,
 // or a different store move-assigned in) rebuilds the shard. The probe
 // then re-ranks against that same pinned view, so every candidate it
 // gathers is present in the view it is scored against. Writers never touch
 // the index, the index registers nothing with the store, and any number of
 // indexes may serve one store. Index shard s follows store shard s; the
 // only lock order is index shard → the store's view mutex (kIndexShard →
-// kLeaf).
+// kLeaf), taken by a catch-up only: a probe of an unchanged shard holds
+// the index shard lock just to gather ids.
 //
 // Supported families: exactly those with FamilyInfo::supports_banding (the
 // minwise samplers wmh, icws, mh, wmh_compact, wmh_bbit). The linear
@@ -116,8 +118,9 @@ class BandedIndex final {
 
  private:
   struct Shard {
-    /// kIndexShard: held while pinning the store's view (kLeaf) and
-    /// catching up; never held by anything that takes a store shard lock.
+    /// kIndexShard: held while gathering ids and while catching up (which
+    /// pins the store's view, kLeaf); never held by anything that takes a
+    /// store shard lock.
     mutable Mutex mu{LockRank::kIndexShard};
     /// The store view `buckets` were built from; null before the first
     /// catch-up.

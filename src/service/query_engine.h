@@ -12,9 +12,9 @@
 //
 // Locking contract (see common/mutex.h): the engine itself is stateless —
 // it owns no mutex and never takes a store shard mutex. Banded probes take
-// one index shard Mutex (kIndexShard) at a time, pin the store view they
-// catch up to and re-rank against under it (the view's kLeaf mutex), and
-// release it before re-ranking; the short-lived kLeaf error-slot Mutex
+// one index shard Mutex (kIndexShard) at a time — pinning the store view
+// under it (the view's kLeaf mutex) only to catch up to a moved view —
+// and release it before re-ranking against that view; the short-lived kLeaf error-slot Mutex
 // local to each query is taken with nothing else held. So engine queries
 // can never take part in a lock-order cycle with ingest — and every read,
 // exact or banded, may run while the caller holds a store-shard-ranked
